@@ -552,7 +552,7 @@ let runtime_cmd =
     Arg.(
       value & opt float 0.
       & info [ "stagger-ms" ]
-          ~doc:"Arrival stagger: tenant $(i) arrives at $(i) times this many \
+          ~doc:"Arrival stagger: tenant $(i,i) arrives at $(i,i) times this many \
                 milliseconds.")
   in
   let seed_arg =
@@ -584,13 +584,13 @@ let runtime_cmd =
       & info [ "faults" ] ~docv:"SPEC"
           ~doc:
             "Seeded fault injection, e.g. \
-             $(b,seed=42,droop\\@2:3:0.5,stall:0.05:0.2,fail:0.02,bankloss\\@4:256k). \
-             Clauses: $(b,seed=N), $(b,droop\\@T:DUR:FACTOR) (DDR bandwidth \
+             $(b,seed=42,droop@2:3:0.5,stall:0.05:0.2,fail:0.02,bankloss@4:256k). \
+             Clauses: $(b,seed=N), $(b,droop@T:DUR:FACTOR) (DDR bandwidth \
              droop window, ms), $(b,stall:PROB:MS) (transient transfer \
              stalls), $(b,fail:PROB) (transfer failures, retried with capped \
              exponential backoff), $(b,retries=N), $(b,backoff=BASE:CAP) \
-             (ms), $(b,bankloss\\@T:BYTES[:TENANT]) (SRAM bank loss, \
-             triggering degraded-mode replanning), $(b,abort\\@T:TENANT).  A \
+             (ms), $(b,bankloss@T:BYTES[:TENANT]) (SRAM bank loss, \
+             triggering degraded-mode replanning), $(b,abort@T:TENANT).  A \
              spec with no active fault source reproduces the fault-free run \
              bit for bit.")
   in
@@ -755,7 +755,7 @@ let serve_cmd =
       Lcmm_service.Plan_cache.create ~max_entries:cache_entries
         ~max_bytes:(cache_mb * 1024 * 1024) ?persist_dir:cache_dir ()
     in
-    let pool = Lcmm_service.Pool.create ~domains:workers () in
+    let pool = Lcmm.Pool.create ~domains:workers () in
     let engine = Lcmm_service.Engine.create ~cache ~pool ?deadline_ms () in
     let timing = not no_timing in
     Fun.protect
@@ -952,7 +952,7 @@ let fault_spec_conv =
 let chaos_arg =
   let doc =
     "Seeded transport-fault injection on the router->shard path, e.g. \
-     $(b,seed=42,delay:0.1:40,hang:0.02,trunc:0.02,corrupt:0.02,reset:0.05,slowshard\\@0:3).  \
+     $(b,seed=42,delay:0.1:40,hang:0.02,trunc:0.02,corrupt:0.02,reset:0.05,slowshard@0:3).  \
      A spec with no transport clauses (or no --chaos at all) leaves the \
      tier's output byte-identical to a fault-free run."
   in
@@ -1051,7 +1051,7 @@ let tier_cmd =
   in
   let cache_dir_arg =
     let doc =
-      "Root of the shards' disk caches: shard $(i)i gets $(docv)/shard-$(i)i."
+      "Root of the shards' disk caches: shard $(i,i) gets $(docv)/shard-$(i,i)."
     in
     Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
   in

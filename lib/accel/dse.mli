@@ -2,10 +2,28 @@
 
     The frameworks the paper integrates with ([12, 18, 22]) pick the PE
     array and tile buffer structure by DSE; LCMM runs after that.  This
-    module reproduces the tile half of that search: sweep a grid of tile
-    shapes, keep those whose compute resources fit the device, and pick
-    the one minimizing whole-network UMM latency.  Ties break toward
-    smaller tile buffers (leaving more SRAM to LCMM). *)
+    module reproduces that search.  The sweep crosses the
+    {!candidate_tiles} grid with the {!dsp_fractions} ladder, keeps the
+    design points whose compute resources fit the device, and picks the
+    one minimizing whole-network UMM latency.  Ties break toward smaller
+    tile buffers (leaving more SRAM to LCMM), then toward the earlier
+    point in sweep order (ladder rung first, then tile).
+
+    {b Factoring.}  Eq. 1 prices a node as [max(latc, transfer)]:
+    [latc] depends only on the PE array (set by the rung) and the clock
+    (set by the style), the transfer bound only on the tiling.  The sweep
+    therefore builds the graph's {!Latency.layer_table} once, evaluates
+    each distinct row's transfer bound once per tile and its compute term
+    once per (rung, clock), and scores a point as the sum over nodes, in
+    node order from [0.], of [max(latc, transfer)] of the node's row.
+
+    {b Bit-identity.}  Those are exactly the float operations
+    [Latency.umm_total (Latency.profile_graph cfg g)] performs on the
+    point's config, the fit filter and tie-break are the same, and the
+    points are visited in the same order, so every chosen config and
+    [umm_latency] is bit-identical to profiling the whole graph once per
+    design point.  The [dse-exhaustive] oracle keeps that per-point
+    sweep as its reference. *)
 
 type result = {
   config : Config.t;
@@ -16,6 +34,32 @@ type result = {
 val candidate_tiles : unit -> Tiling.t list
 (** The sweep grid: tm/tn in powers of two 16..64, square spatial tiles
     7..56. *)
+
+val dsp_fractions : float list
+(** The DSP-budget ladder [0.83; 0.6; 0.4; 0.25; 0.12], in sweep order.
+    Large parts close timing with the full 83 % DSP budget; smaller
+    parts (or LUT-hungry precisions) need a smaller array, so the sweep
+    also descends the ladder, sizing the PE array with
+    {!Pe_array.default_for} at each rung. *)
+
+type work = {
+  nodes : int;           (** Graph nodes. *)
+  rows : int;            (** Distinct layer-table rows. *)
+  transfer_terms : int;  (** Row transfer bounds evaluated: rows x tiles used. *)
+  compute_terms : int;
+      (** Row compute terms evaluated: rows x (rung, clock) pairs used. *)
+  configs_scored : int;  (** Fitting design points scored, over all styles. *)
+}
+(** Deterministic work counts of one exploration. *)
+
+val explore :
+  ?device:Fpga.Device.t -> ?tiles:Tiling.t list -> styles:Config.style list ->
+  Tensor.Dtype.t -> Dnn_graph.Graph.t -> result list * work
+(** One sweep for several clock styles: the winner for each style, in
+    [styles] order, and the work done.  The styles share the layer table
+    and the per-tile transfer bounds; only the compute terms are
+    per-style.  Each winner equals [run ~style].  Raises
+    [Invalid_argument] when no candidate fits the device. *)
 
 val run :
   ?device:Fpga.Device.t -> ?tiles:Tiling.t list -> style:Config.style ->

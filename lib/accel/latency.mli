@@ -34,6 +34,41 @@ val profile_node : Config.t -> Dnn_graph.Graph.t -> int -> profile
 val profile_graph : Config.t -> Dnn_graph.Graph.t -> profile array
 (** One profile per node, indexed by node id. *)
 
+(** {2 Layer table}
+
+    Everything Eq. 1 reads from the graph — operator kind, output and
+    input dimensions, kernel, the bytes of each source value, of the
+    weights and of the output at one precision, and which of them eltwise
+    fusion would consume from a drain — does not depend on the design
+    point.  The layer table holds these facts once per graph; nodes with
+    identical facts share one row.  {!profile_node} derives a profile from
+    the same row, and the row-level terms below are the exact floats its
+    profiles carry, so a design-space sweep can evaluate each factor of
+    Eq. 1 once per row instead of once per node and design point. *)
+
+type table
+
+val layer_table : Tensor.Dtype.t -> Dnn_graph.Graph.t -> table
+
+val table_rows : table -> int
+(** Number of distinct rows. *)
+
+val node_row : table -> int -> int
+(** Row index of a node. *)
+
+val row_compute : Config.t -> table -> int -> float
+(** [latc] of every node with this row: depends on the design's PE array
+    and clock only. *)
+
+val row_transfer : Config.t -> table -> int -> float
+(** The UMM transfer bound [max(sum of if terms, wt term, of term)] of
+    every node with this row: depends on the design's tiling (and the
+    fixed bandwidth, burst overhead and fusion setting) only, never on
+    the PE array or the clock.  For every node [id] with row [r],
+    [umm_node_latency (profile_node cfg g id)] is bit-equal to
+    [max (row_compute cfg t r) (row_transfer cfg t r)].  Raises
+    [Invalid_argument] when [cfg]'s precision is not the table's. *)
+
 val node_latency :
   profile -> if_on_chip:(int -> bool) -> wt_on_chip:bool -> of_on_chip:bool ->
   float

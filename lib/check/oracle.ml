@@ -749,6 +749,68 @@ let check_plan ctx =
       analytic
   else Ok ()
 
+(* --- the tile DSE against its exhaustive reference --- *)
+
+(* The per-point sweep the factored DSE replaces: profile the whole graph
+   once per (rung, tile) design point and fold the fitting points with
+   the same tie-break. *)
+let dse_reference ~device ~style dtype g =
+  let points =
+    List.concat_map
+      (fun dsp_fraction ->
+        List.map (fun t -> (dsp_fraction, t)) (Accel.Dse.candidate_tiles ()))
+      Accel.Dse.dsp_fractions
+  in
+  let evaluate (dsp_fraction, tile) =
+    let cfg = Accel.Config.make ~device ~dsp_fraction ~tile ~style dtype in
+    let resources = Accel.Config.compute_resources cfg in
+    if not (Fpga.Resource.fits resources ~within:device.Fpga.Device.total) then None
+    else
+      let umm_latency = Latency.umm_total (Latency.profile_graph cfg g) in
+      Some { Accel.Dse.config = cfg; umm_latency; resources }
+  in
+  let better (a : Accel.Dse.result) (b : Accel.Dse.result) =
+    if a.umm_latency < b.umm_latency then a
+    else if b.umm_latency < a.umm_latency then b
+    else if
+      Accel.Tiling.buffer_bytes dtype a.config.Accel.Config.tile
+      <= Accel.Tiling.buffer_bytes dtype b.config.Accel.Config.tile
+    then a
+    else b
+  in
+  match List.filter_map evaluate points with
+  | [] -> None
+  | first :: rest -> Some (List.fold_left better first rest)
+
+let check_dse_exhaustive_graph ?(device = Fpga.Device.vu9p) dtype g =
+  let styles = [ Accel.Config.Umm; Accel.Config.Lcmm ] in
+  let name = function Accel.Config.Umm -> "UMM" | Accel.Config.Lcmm -> "LCMM" in
+  match Accel.Dse.explore ~device ~styles dtype g with
+  | exception Invalid_argument msg ->
+    if List.for_all (fun style -> dse_reference ~device ~style dtype g = None) styles
+    then Ok ()
+    else fail "factored DSE raised %S but the reference found a design point" msg
+  | got, _ ->
+    iter_result
+      (fun (style, (r : Accel.Dse.result)) ->
+        match dse_reference ~device ~style dtype g with
+        | None -> fail "%s: factored DSE chose a point the reference rejects" (name style)
+        | Some want ->
+          if r.config <> want.config then
+            fail "%s: factored DSE chose %a, the reference %a" (name style)
+              Accel.Config.pp r.config Accel.Config.pp want.config
+          else if r.resources <> want.resources then
+            fail "%s: resources differ from the reference's" (name style)
+          else if
+            Int64.bits_of_float r.umm_latency <> Int64.bits_of_float want.umm_latency
+          then
+            fail "%s: UMM latency %h, the reference's %h" (name style) r.umm_latency
+              want.umm_latency
+          else Ok ())
+      (List.combine styles got)
+
+let check_dse_exhaustive ctx = check_dse_exhaustive_graph ctx.dtype ctx.graph
+
 (* --- degraded mode: eviction under SRAM bank loss --- *)
 
 (* The runtime's bank-loss path shrinks a finished allocation with
@@ -1152,6 +1214,11 @@ let all =
     { name = "plan";
       doc = "the end-to-end plan never loses to UMM and accounts its SRAM";
       check = check_plan };
+    { name = "dse-exhaustive";
+      doc =
+        "the factored tile DSE picks the per-point sweep's config, \
+         resources and bit-equal UMM latency for both styles";
+      check = check_dse_exhaustive };
     { name = "degraded";
       doc = "bank-loss eviction fits, partitions cleanly and is monotone";
       check = check_degraded };

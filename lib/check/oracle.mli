@@ -48,6 +48,14 @@ val optimality_gaps : ctx -> (string * float) list
     the exact solver proved optimality on this context; [[]] when the
     search was truncated.  The measurement behind [dnnk_slack]. *)
 
+val check_dse_exhaustive_graph :
+  ?device:Fpga.Device.t -> Tensor.Dtype.t -> Dnn_graph.Graph.t ->
+  (unit, string) result
+(** The [dse-exhaustive] invariant on any graph: for both styles, one
+    {!Accel.Dse.explore} sweep returns the same config and resources as
+    profiling the whole graph once per design point, with a bit-equal
+    [umm_latency] (default device: the VU9P). *)
+
 type t = {
   name : string;  (** Stable identifier, accepted by [lcmm check --oracle]. *)
   doc : string;   (** One-line statement of the invariant. *)
@@ -56,7 +64,8 @@ type t = {
 
 val all : t list
 (** Every oracle, in pass order (liveness, interference, coloring,
-    prefetch, DNNK, DNNK-vs-exact, splitting, simulator, plan). *)
+    prefetch, DNNK, DNNK-vs-exact, splitting, simulator, plan, DSE), then
+    the degraded-mode, fusion and schedule oracles. *)
 
 val names : string list
 

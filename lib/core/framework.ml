@@ -590,8 +590,12 @@ type comparison = {
 }
 
 let compare_designs ?options ?pool ?(device = Fpga.Device.vu9p) ~model dtype g =
-  let umm_dse = Accel.Dse.run ~device ~style:Config.Umm dtype g in
-  let lcmm_dse = Accel.Dse.run ~device ~style:Config.Lcmm dtype g in
+  (* One sweep serves both styles: they differ only in the clock. *)
+  let umm_dse, lcmm_dse =
+    match Accel.Dse.explore ~device ~styles:[ Config.Umm; Config.Lcmm ] dtype g with
+    | [ umm; lcmm ], _ -> (umm, lcmm)
+    | ([] | [ _ ] | _ :: _ :: _ :: _), _ -> assert false
+  in
   let lcmm_plan = plan ?options ?pool lcmm_dse.Accel.Dse.config g in
   let umm =
     report ~style_name:"UMM" device umm_dse.Accel.Dse.config g

@@ -168,7 +168,8 @@ val compare_designs :
   Tensor.Dtype.t -> Dnn_graph.Graph.t -> comparison
 (** The paper's Table 1 experiment for one (model, precision) pair: DSE a
     UMM baseline and an LCMM design, run the framework on the latter and
-    report both. *)
+    report both.  One {!Accel.Dse.explore} sweep yields both design
+    points. *)
 
 val report_of_plan : style_name:string -> Dnn_graph.Graph.t -> plan -> design_report
 

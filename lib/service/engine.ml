@@ -23,7 +23,7 @@ type breaker = {
 
 type t = {
   plan_cache : Plan_cache.t;
-  worker_pool : Pool.t;
+  worker_pool : Lcmm.Pool.t;
   meters : Metrics.t;
   default_deadline_ms : float option;
   breakers : (string, breaker) Hashtbl.t;
@@ -43,7 +43,7 @@ let create ?cache ?pool ?metrics ?deadline_ms ?(breaker_threshold = 5)
   if breaker_cooldown_ms <= 0. then
     invalid_arg "Engine.create: breaker_cooldown_ms must be positive";
   { plan_cache = (match cache with Some c -> c | None -> Plan_cache.create ());
-    worker_pool = (match pool with Some p -> p | None -> Pool.create ());
+    worker_pool = (match pool with Some p -> p | None -> Lcmm.Pool.create ());
     meters = (match metrics with Some m -> m | None -> Metrics.create ());
     default_deadline_ms = deadline_ms;
     breakers = Hashtbl.create 8;
@@ -361,15 +361,15 @@ let models_payload () =
        Models.Zoo.all)
 
 let stats_payload t =
-  let busy = Pool.busy t.worker_pool in
+  let busy = Lcmm.Pool.busy t.worker_pool in
   Json.Obj
     [ ("cache", Plan_cache.stats_json t.plan_cache);
       ( "pool",
         Json.Obj
-          [ ("domains", Json.Int (Pool.size t.worker_pool));
+          [ ("domains", Json.Int (Lcmm.Pool.size t.worker_pool));
             ("busy", Json.Int busy);
-            ("queued", Json.Int (Pool.queued t.worker_pool));
-            ("restarts", Json.Int (Pool.restarts t.worker_pool)) ] );
+            ("queued", Json.Int (Lcmm.Pool.queued t.worker_pool));
+            ("restarts", Json.Int (Lcmm.Pool.restarts t.worker_pool)) ] );
       ("breakers", breakers_json t);
       ("metrics", Metrics.snapshot t.meters);
       (* Cumulative planner pass times (process-wide, microseconds)
@@ -579,7 +579,7 @@ let handle t (env : P.envelope) =
           with
           | Some msg -> Error (shed_response t sub msg)
           | None ->
-            Ok (Pool.submit t.worker_pool (fun () -> handle_leaf t sub)))
+            Ok (Lcmm.Pool.submit t.worker_pool (fun () -> handle_leaf t sub)))
         subs
     in
     let responses =
@@ -600,12 +600,12 @@ let handle t (env : P.envelope) =
             in
             match sub_ms with
             | None -> (
-              match Pool.await fut with
+              match Lcmm.Pool.await fut with
               | Ok r -> record r
               | Error e -> raise e)
             | Some ms -> (
               let remaining = (ms /. 1e3) -. (Unix.gettimeofday () -. t0) in
-              match Pool.await_within ~seconds:remaining fut with
+              match Lcmm.Pool.await_within ~seconds:remaining fut with
               | Some (Ok r) -> record r
               | Some (Error e) -> raise e
               | None ->
@@ -636,11 +636,11 @@ let handle t (env : P.envelope) =
         r
       in
       match deadline_ms with
-      | None -> record (Pool.run t.worker_pool (fun () -> handle_leaf t env))
+      | None -> record (Lcmm.Pool.run t.worker_pool (fun () -> handle_leaf t env))
       | Some ms -> (
         let t0 = Unix.gettimeofday () in
-        let fut = Pool.submit t.worker_pool (fun () -> handle_leaf t env) in
-        match Pool.await_within ~seconds:(ms /. 1e3) fut with
+        let fut = Lcmm.Pool.submit t.worker_pool (fun () -> handle_leaf t env) in
+        match Lcmm.Pool.await_within ~seconds:(ms /. 1e3) fut with
         | Some (Ok r) -> record r
         | Some (Error e) -> raise e
         | None ->
@@ -732,4 +732,4 @@ let pool t = t.worker_pool
 
 let metrics t = t.meters
 
-let shutdown t = Pool.shutdown t.worker_pool
+let shutdown t = Lcmm.Pool.shutdown t.worker_pool

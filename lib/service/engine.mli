@@ -11,11 +11,11 @@
 type t
 
 val create :
-  ?cache:Plan_cache.t -> ?pool:Pool.t -> ?metrics:Metrics.t ->
+  ?cache:Plan_cache.t -> ?pool:Lcmm.Pool.t -> ?metrics:Metrics.t ->
   ?deadline_ms:float -> ?breaker_threshold:int ->
   ?breaker_cooldown_ms:float -> unit -> t
 (** Missing components are created with their defaults (256-entry
-    in-memory cache, [Pool.create ()] sized pool).  [deadline_ms] is the
+    in-memory cache, [Lcmm.Pool.create ()] sized pool).  [deadline_ms] is the
     default per-request compute budget applied when a request carries no
     ["deadline_ms"] of its own; omitted = wait forever.  Raises
     [Invalid_argument] when non-positive.
@@ -90,7 +90,7 @@ val stats_payload : t -> Dnn_serial.Json.t
 
 val cache : t -> Plan_cache.t
 
-val pool : t -> Pool.t
+val pool : t -> Lcmm.Pool.t
 
 val metrics : t -> Metrics.t
 

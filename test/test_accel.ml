@@ -164,6 +164,40 @@ let test_dse () =
   Alcotest.(check bool) "dse at least as good" true
     (r.Accel.Dse.umm_latency <= fixed_lat +. 1e-12)
 
+let test_dse_exhaustive_zoo () =
+  (* The factored sweep against the per-point reference on every zoo
+     model and precision, both clock styles. *)
+  List.iter
+    (fun e ->
+      let g = e.Models.Zoo.build () in
+      List.iter
+        (fun dtype ->
+          match Check.Oracle.check_dse_exhaustive_graph dtype g with
+          | Ok () -> ()
+          | Error msg ->
+            Alcotest.failf "%s %s: %s" e.Models.Zoo.model_name
+              (Dtype.to_string dtype) msg)
+        [ Dtype.I8; Dtype.I16; Dtype.F32 ])
+    Models.Zoo.all
+
+let test_dse_work () =
+  (* Exact work counts of one two-style sweep: a return to profiling the
+     graph per design point changes them whatever the machine's speed. *)
+  let g = Models.Zoo.build "resnet152" in
+  let results, w =
+    Accel.Dse.explore ~styles:[ Config.Umm; Config.Lcmm ] Dtype.I16 g
+  in
+  Alcotest.(check int) "winners" 2 (List.length results);
+  Alcotest.(check int) "nodes" 209 w.Accel.Dse.nodes;
+  Alcotest.(check int) "rows" 32 w.Accel.Dse.rows;
+  Alcotest.(check bool) "rows < nodes" true (w.Accel.Dse.rows < w.Accel.Dse.nodes);
+  Alcotest.(check int) "transfer terms: rows x 36 tiles" (32 * 36)
+    w.Accel.Dse.transfer_terms;
+  Alcotest.(check int) "compute terms: rows x 5 rungs x 2 clocks" (32 * 5 * 2)
+    w.Accel.Dse.compute_terms;
+  Alcotest.(check int) "configs scored: 180 points x 2 styles" 360
+    w.Accel.Dse.configs_scored
+
 let test_fused_eltwise () =
   let g = Helpers.diamond () in
   let plain = Config.make ~style:Config.Umm Dtype.I16 in
@@ -214,5 +248,7 @@ let suite =
     Alcotest.test_case "memory bound count" `Quick test_memory_bound_count;
     Alcotest.test_case "roofline" `Quick test_roofline;
     Alcotest.test_case "dse" `Quick test_dse;
+    Alcotest.test_case "dse exhaustive zoo" `Quick test_dse_exhaustive_zoo;
+    Alcotest.test_case "dse work counters" `Quick test_dse_work;
     Alcotest.test_case "fused eltwise" `Quick test_fused_eltwise;
     prop_umm_upper_bound ]

@@ -103,34 +103,34 @@ let test_cache_key_stability () =
 (* --- Pool --- *)
 
 let test_pool_map () =
-  let pool = Svc.Pool.create ~domains:3 () in
+  let pool = Lcmm.Pool.create ~domains:3 () in
   Fun.protect
-    ~finally:(fun () -> Svc.Pool.shutdown pool)
+    ~finally:(fun () -> Lcmm.Pool.shutdown pool)
     (fun () ->
       let xs = List.init 50 Fun.id in
-      let squares = Svc.Pool.map_list pool (fun x -> x * x) xs in
+      let squares = Lcmm.Pool.map_list pool (fun x -> x * x) xs in
       Alcotest.(check (list int)) "order preserved" (List.map (fun x -> x * x) xs) squares;
-      Alcotest.(check int) "size" 3 (Svc.Pool.size pool))
+      Alcotest.(check int) "size" 3 (Lcmm.Pool.size pool))
 
 let test_pool_exceptions () =
-  let pool = Svc.Pool.create ~domains:2 () in
+  let pool = Lcmm.Pool.create ~domains:2 () in
   Fun.protect
-    ~finally:(fun () -> Svc.Pool.shutdown pool)
+    ~finally:(fun () -> Lcmm.Pool.shutdown pool)
     (fun () ->
-      (match Svc.Pool.await (Svc.Pool.submit pool (fun () -> failwith "boom")) with
+      (match Lcmm.Pool.await (Lcmm.Pool.submit pool (fun () -> failwith "boom")) with
       | Error (Failure msg) -> Alcotest.(check string) "exception carried" "boom" msg
       | Error _ -> Alcotest.fail "wrong exception"
       | Ok () -> Alcotest.fail "expected failure");
       (* The worker survives a failed job. *)
-      Alcotest.(check int) "worker alive" 7 (Svc.Pool.run pool (fun () -> 7)))
+      Alcotest.(check int) "worker alive" 7 (Lcmm.Pool.run pool (fun () -> 7)))
 
 let test_pool_shutdown_rejects () =
-  let pool = Svc.Pool.create ~domains:1 () in
-  Svc.Pool.shutdown pool;
-  Svc.Pool.shutdown pool;  (* idempotent *)
+  let pool = Lcmm.Pool.create ~domains:1 () in
+  Lcmm.Pool.shutdown pool;
+  Lcmm.Pool.shutdown pool;  (* idempotent *)
   Alcotest.check_raises "submit after shutdown"
     (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
-      ignore (Svc.Pool.submit pool (fun () -> ())))
+      ignore (Lcmm.Pool.submit pool (fun () -> ())))
 
 (* --- Protocol --- *)
 
@@ -213,7 +213,7 @@ let test_options_roundtrip () =
 (* --- Engine integration --- *)
 
 let with_engine ?cache ~domains fn =
-  let pool = Svc.Pool.create ~domains () in
+  let pool = Lcmm.Pool.create ~domains () in
   let engine = Svc.Engine.create ?cache ~pool () in
   Fun.protect ~finally:(fun () -> Svc.Engine.shutdown engine) (fun () -> fn engine)
 
@@ -459,12 +459,12 @@ let test_engine_run_op () =
 
 let test_engine_deadline () =
   with_engine ~domains:1 (fun engine ->
-      (* A 1 ms budget on a cold VGG-16 compile cannot be met: the
+      (* A 1 ms budget on a cold ResNet-152 compile cannot be met: the
          response is a structured deadline error, not a stall. *)
       let timed_out =
         result_of_line
           (handle_line engine
-             {|{"op":"compile","id":9,"model":"vgg16","deadline_ms":1}|})
+             {|{"op":"compile","id":9,"model":"resnet152","deadline_ms":1}|})
       in
       Alcotest.check json_t "deadline error flagged" (Json.Bool false)
         (field_exn "ok" timed_out);
@@ -489,7 +489,7 @@ let test_engine_deadline () =
          cache, so an unbudgeted retry succeeds. *)
       let retry =
         result_of_line
-          (handle_line engine {|{"op":"compile","model":"vgg16"}|})
+          (handle_line engine {|{"op":"compile","model":"resnet152"}|})
       in
       Alcotest.check json_t "retry succeeds" (Json.Bool true)
         (field_exn "ok" retry);
@@ -497,26 +497,26 @@ let test_engine_deadline () =
       let warm =
         result_of_line
           (handle_line engine
-             {|{"op":"compile","model":"vgg16","deadline_ms":60000}|})
+             {|{"op":"compile","model":"resnet152","deadline_ms":60000}|})
       in
       Alcotest.check json_t "warm hit within budget" (Json.Bool true)
         (field_exn "ok" warm))
 
 let test_pool_await_within () =
-  let pool = Svc.Pool.create ~domains:1 () in
+  let pool = Lcmm.Pool.create ~domains:1 () in
   Fun.protect
-    ~finally:(fun () -> Svc.Pool.shutdown pool)
+    ~finally:(fun () -> Lcmm.Pool.shutdown pool)
     (fun () ->
-      let slow = Svc.Pool.submit pool (fun () -> Unix.sleepf 0.2; 11) in
-      (match Svc.Pool.await_within ~seconds:0.02 slow with
+      let slow = Lcmm.Pool.submit pool (fun () -> Unix.sleepf 0.2; 11) in
+      (match Lcmm.Pool.await_within ~seconds:0.02 slow with
       | None -> ()
       | Some _ -> Alcotest.fail "expected a timeout");
       (* The job was not cancelled: a blocking await still collects it. *)
-      (match Svc.Pool.await slow with
+      (match Lcmm.Pool.await slow with
       | Ok n -> Alcotest.(check int) "late result intact" 11 n
       | Error e -> Alcotest.failf "await failed: %s" (Printexc.to_string e));
       (* A settled future answers immediately, budget or not. *)
-      match Svc.Pool.await_within ~seconds:0.001 slow with
+      match Lcmm.Pool.await_within ~seconds:0.001 slow with
       | Some (Ok 11) -> ()
       | _ -> Alcotest.fail "settled future should answer")
 
@@ -602,34 +602,34 @@ let contains needle msg =
   scan 0
 
 let test_pool_crash_restart () =
-  let pool = Svc.Pool.create ~domains:1 () in
+  let pool = Lcmm.Pool.create ~domains:1 () in
   Fun.protect
-    ~finally:(fun () -> Svc.Pool.shutdown pool)
+    ~finally:(fun () -> Lcmm.Pool.shutdown pool)
     (fun () ->
       (* A crash-class exception still answers the caller (no hang)... *)
       (match
-         Svc.Pool.await
-           (Svc.Pool.submit pool (fun () ->
-                raise (Svc.Pool.Worker_crash "simulated OOM")))
+         Lcmm.Pool.await
+           (Lcmm.Pool.submit pool (fun () ->
+                raise (Lcmm.Pool.Worker_crash "simulated OOM")))
        with
-      | Error (Svc.Pool.Worker_crash msg) ->
+      | Error (Lcmm.Pool.Worker_crash msg) ->
         Alcotest.(check string) "crash reason carried" "simulated OOM" msg
       | Error e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
       | Ok () -> Alcotest.fail "expected a crash");
       (* ...then unwinds the worker loop, which the supervisor restarts:
          the next job is answered by the reborn worker. *)
-      Alcotest.(check int) "pool still serves" 9 (Svc.Pool.run pool (fun () -> 9));
-      Alcotest.(check int) "restart counted" 1 (Svc.Pool.restarts pool);
+      Alcotest.(check int) "pool still serves" 9 (Lcmm.Pool.run pool (fun () -> 9));
+      Alcotest.(check int) "restart counted" 1 (Lcmm.Pool.restarts pool);
       (* Stack_overflow is crash-class too, and survivable the same way. *)
-      (match Svc.Pool.await (Svc.Pool.submit pool (fun () -> raise Stack_overflow)) with
+      (match Lcmm.Pool.await (Lcmm.Pool.submit pool (fun () -> raise Stack_overflow)) with
       | Error Stack_overflow -> ()
       | Error e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
       | Ok () -> Alcotest.fail "expected Stack_overflow");
-      Alcotest.(check int) "still serving" 4 (Svc.Pool.run pool (fun () -> 4));
-      Alcotest.(check int) "second restart" 2 (Svc.Pool.restarts pool))
+      Alcotest.(check int) "still serving" 4 (Lcmm.Pool.run pool (fun () -> 4));
+      Alcotest.(check int) "second restart" 2 (Lcmm.Pool.restarts pool))
 
 let test_engine_circuit_breaker () =
-  let pool = Svc.Pool.create ~domains:1 () in
+  let pool = Lcmm.Pool.create ~domains:1 () in
   let engine =
     Svc.Engine.create ~pool ~breaker_threshold:2 ~breaker_cooldown_ms:400. ()
   in
@@ -637,12 +637,12 @@ let test_engine_circuit_breaker () =
     ~finally:(fun () -> Svc.Engine.shutdown engine)
     (fun () ->
       (* Distinct option digests force cold compiles; a 1 ms budget on a
-         cold VGG-16 compile is a guaranteed deadline miss — a counted
-         failure.  (VGG-16, not alexnet: a warm process can plan small
-         models inside 1 ms, which would dodge the miss.) *)
+         cold ResNet-152 compile is a guaranteed deadline miss — a counted
+         failure.  (ResNet-152, not alexnet or VGG-16: a warm process can
+         plan small models inside 1 ms, which would dodge the miss.) *)
       let miss slices =
         Printf.sprintf
-          {|{"op":"compile","model":"vgg16","deadline_ms":1,"options":{"weight_slices":%d}}|}
+          {|{"op":"compile","model":"resnet152","deadline_ms":1,"options":{"weight_slices":%d}}|}
           slices
       in
       let r1 = result_of_line (handle_line engine (miss 2)) in

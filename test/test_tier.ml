@@ -208,7 +208,7 @@ let test_shard_probe_recovers () =
 let with_engines n fn =
   let engines =
     List.init n (fun _ ->
-        Svc.Engine.create ~pool:(Svc.Pool.create ~domains:1 ()) ())
+        Svc.Engine.create ~pool:(Lcmm.Pool.create ~domains:1 ()) ())
   in
   Fun.protect
     ~finally:(fun () -> List.iter Svc.Engine.shutdown engines)
