@@ -239,7 +239,145 @@ let check_interference ctx =
   done;
   !result
 
+(* --- the dense-id Eq. 1 evaluator against the item-predicate one --- *)
+
+(* The per-item evaluator [Metric.node_latency_id] replaces: the same
+   Eq. 1 fold over [Metric.item] queries built on the fly. *)
+let reference_node_latency (t : Metric.t) ~on id =
+  let p = t.Metric.profiles.(id) in
+  let k = t.Metric.slices.(id) in
+  let wt_time =
+    if p.Latency.wt_term <= 0. then 0.
+    else if k = 1 then if on (Metric.Weight_of id) then 0. else p.Latency.wt_term
+    else begin
+      let off = ref 0 in
+      for index = 0 to k - 1 do
+        if not (on (Metric.Weight_slice { node = id; index; of_k = k })) then incr off
+      done;
+      p.Latency.wt_term *. float_of_int !off /. float_of_int k
+    end
+  in
+  let if_time =
+    List.fold_left
+      (fun acc (v, seconds) ->
+        if on (Metric.Feature_value v) then acc else acc +. seconds)
+      0. p.Latency.if_terms
+  in
+  let of_time = if on (Metric.Feature_value id) then 0. else p.Latency.of_term in
+  max p.Latency.latc (max if_time (max wt_time of_time))
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+let check_eq1_ids_metric (metric : Metric.t) =
+  let nodes = Array.length metric.Metric.profiles in
+  let ids = Metric.id_count metric in
+  let items = Array.init ids (Metric.item_of_id metric) in
+  let* () =
+    iter_result
+      (fun i ->
+        if Metric.item_id metric items.(i) = Some i then Ok ()
+        else fail "item %a does not map back to id %d" Metric.pp_item items.(i) i)
+      (List.init ids Fun.id)
+  in
+  let st = Random.State.make [| nodes; ids |] in
+  iter_result
+    (fun density ->
+      let mask = Array.init ids (fun _ -> Random.State.float st 1. < density) in
+      let on_item item =
+        match Metric.item_id metric item with Some i -> mask.(i) | None -> false
+      in
+      let on_chip =
+        Array.to_list items |> List.filter on_item |> Metric.Item_set.of_list
+      in
+      let* () =
+        iter_result
+          (fun id ->
+            let want = reference_node_latency metric ~on:on_item id in
+            let got = Metric.node_latency_id metric ~on:(fun i -> mask.(i)) id in
+            let view = Metric.node_latency metric ~on_chip id in
+            if not (same_bits got want) then
+              fail "node %d at density %g: id evaluator %h, reference %h" id
+                density got want
+            else if not (same_bits view want) then
+              fail "node %d at density %g: item-set view %h, reference %h" id
+                density view want
+            else Ok ())
+          (List.init nodes Fun.id)
+      in
+      let want = ref 0. in
+      for id = 0 to nodes - 1 do
+        want := !want +. reference_node_latency metric ~on:on_item id
+      done;
+      let got = Metric.total_latency metric ~on_chip in
+      if same_bits got !want then Ok ()
+      else fail "total at density %g: %h, reference %h" density got !want)
+    [ 0.; 0.1; 0.3; 0.5; 0.7; 0.9; 1. ]
+
+let check_eq1_ids_graph ?(weight_slices = 1) dtype g =
+  let config = Accel.Config.make ~style:Accel.Config.Lcmm dtype in
+  let profiles = Latency.profile_graph config g in
+  check_eq1_ids_metric
+    (Metric.build ~weight_slices:(fun _ -> weight_slices) g profiles)
+
+(* Whole weights and 3- and 4-way slices: no planner default reaches the
+   sliced branch of Eq. 1, and a non-power-of-two count exposes any
+   reordered rounding in it. *)
+let check_eq1_ids ctx =
+  iter_result
+    (fun weight_slices ->
+      Result.map_error
+        (Printf.sprintf "weight_slices %d: %s" weight_slices)
+        (check_eq1_ids_graph ~weight_slices ctx.dtype ctx.graph))
+    [ 1; 3; 4 ]
+
 (* --- coloring: buffers never merge conflicting items --- *)
+
+(* The coloring [Coloring.color] replaces: filter every open buffer for
+   compatibility, then pick the head (First_fit) or the least-growth
+   buffer with the strict-[<] fold (Min_growth), appending new buffers
+   at the end. *)
+let reference_color strategy interference ~sizes =
+  let buffers = ref [] in
+  let compatible row (members, _) =
+    List.for_all (fun (j, _, _) -> not (Lcmm.Bitset.mem row j)) !members
+  in
+  let order =
+    let indices = List.init (Array.length sizes) Fun.id in
+    match strategy with
+    | Coloring.Min_growth -> List.sort (fun a b -> compare sizes.(b) sizes.(a)) indices
+    | Coloring.First_fit ->
+      let degree = Array.init (Array.length sizes) (Interference.degree interference) in
+      List.sort (fun a b -> compare degree.(b) degree.(a)) indices
+  in
+  let place index =
+    let size = sizes.(index) in
+    let row = Interference.row interference index in
+    let candidates = List.filter (compatible row) !buffers in
+    let chosen =
+      match strategy with
+      | Coloring.First_fit -> (match candidates with part :: _ -> Some part | [] -> None)
+      | Coloring.Min_growth ->
+        let growth (_, part_size) = max 0 (size - !part_size) in
+        List.fold_left
+          (fun best part ->
+            match best with
+            | None -> Some part
+            | Some b -> if growth part < growth b then Some part else best)
+          None candidates
+    in
+    let member = (index, Interference.item interference index, size) in
+    match chosen with
+    | Some (members, part_size) ->
+      part_size := max !part_size size;
+      members := member :: !members
+    | None -> buffers := !buffers @ [ (ref [ member ], ref size) ]
+  in
+  List.iter place order;
+  List.mapi
+    (fun vbuf_id (members, _) ->
+      Vbuffer.make ~vbuf_id
+        ~sized_members:(List.map (fun (_, item, s) -> (item, s)) !members))
+    !buffers
 
 let check_coloring ctx =
   let index_of = Hashtbl.create 64 in
@@ -248,6 +386,20 @@ let check_coloring ctx =
     (fun strategy ->
       let inter = fresh_interference ctx in
       let vbufs = Coloring.color ~strategy inter ~sizes:ctx.sizes in
+      let* () =
+        let want = reference_color strategy inter ~sizes:ctx.sizes in
+        if List.length vbufs <> List.length want then
+          fail "%d buffers, the reference coloring %d" (List.length vbufs)
+            (List.length want)
+        else
+          iter_result
+            (fun ((got : Vbuffer.t), (want : Vbuffer.t)) ->
+              if got <> want then
+                fail "buffer %d is %a, the reference's %a" got.Vbuffer.vbuf_id
+                  Vbuffer.pp got Vbuffer.pp want
+              else Ok ())
+            (List.combine vbufs want)
+      in
       let seen = Hashtbl.create 64 in
       let* () =
         iter_result
@@ -393,11 +545,31 @@ let check_dnnk_result ctx name (r : Dnnk.result) =
     else Ok ()
   in
   let* () =
+    (* Bit-equal: the allocator's on-chip mask and the item set share one
+       evaluator and one summation order. *)
     let exact = Metric.total_latency ctx.metric ~on_chip:r.Dnnk.on_chip in
-    if Float.abs (exact -. r.Dnnk.predicted_latency) > eps ctx then
-      fail "%s: predicted %.9e but Eq. 1 evaluates to %.9e" name
+    if not (same_bits exact r.Dnnk.predicted_latency) then
+      fail "%s: predicted %h but Eq. 1 evaluates to %h" name
         r.Dnnk.predicted_latency exact
     else Ok ()
+  in
+  let* () =
+    (* The greedy sweep-up ends at a fixpoint: no spilled buffer both
+       fits the free blocks and still gains. *)
+    let free = r.Dnnk.capacity_blocks - r.Dnnk.used_blocks in
+    iter_result
+      (fun vb ->
+        if Dnnk.blocks_of_bytes vb.Vbuffer.size_bytes > free then Ok ()
+        else
+          let gain =
+            Metric.marginal_gain_many ctx.metric ~on_chip:r.Dnnk.on_chip
+              vb.Vbuffer.members
+          in
+          if gain > 1e-15 then
+            fail "%s: spilled buffer %d fits %d free blocks and gains %g" name
+              vb.Vbuffer.vbuf_id free gain
+          else Ok ())
+      r.Dnnk.spilled
   in
   if r.Dnnk.predicted_latency > ctx.umm_total +. eps ctx then
     fail "%s: predicted %.9e beats nothing — UMM is %.9e" name
@@ -1184,14 +1356,21 @@ type t = {
 }
 
 let all =
-  [ { name = "liveness";
+  [ { name = "eq1-ids";
+      doc =
+        "the dense-id Eq. 1 evaluator matches the item-predicate one bit for \
+         bit on random allocations, whole and sliced weights";
+      check = check_eq1_ids };
+    { name = "liveness";
       doc = "lifespans start at the producer and cover every use";
       check = check_liveness };
     { name = "interference";
       doc = "conflicts are symmetric, irreflexive and justified by overlap";
       check = check_interference };
     { name = "coloring";
-      doc = "no buffer merges interfering items; sizes are max-of-members";
+      doc =
+        "no buffer merges interfering items, sizes are max-of-members, and \
+         both strategies match the filter-and-fold reference buffer for buffer";
       check = check_coloring };
     { name = "prefetch";
       doc = "every PDG edge hides its load, or reports the exact residual stall";

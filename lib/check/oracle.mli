@@ -56,6 +56,16 @@ val check_dse_exhaustive_graph :
     profiling the whole graph once per design point, with a bit-equal
     [umm_latency] (default device: the VU9P). *)
 
+val check_eq1_ids_graph :
+  ?weight_slices:int -> Tensor.Dtype.t -> Dnn_graph.Graph.t ->
+  (unit, string) result
+(** The [eq1-ids] invariant on any graph: with every weight cut into
+    [weight_slices] slices (default 1), {!Lcmm.Metric.node_latency_id},
+    the {!Lcmm.Metric.node_latency} view and {!Lcmm.Metric.total_latency}
+    equal the item-predicate reference evaluator bit for bit on seeded
+    random allocations of every density from empty to full, on the
+    LCMM design's profiles. *)
+
 type t = {
   name : string;  (** Stable identifier, accepted by [lcmm check --oracle]. *)
   doc : string;   (** One-line statement of the invariant. *)
@@ -63,9 +73,10 @@ type t = {
 }
 
 val all : t list
-(** Every oracle, in pass order (liveness, interference, coloring,
-    prefetch, DNNK, DNNK-vs-exact, splitting, simulator, plan, DSE), then
-    the degraded-mode, fusion and schedule oracles. *)
+(** Every oracle, in pass order (Eq. 1 evaluator, liveness,
+    interference, coloring, prefetch, DNNK, DNNK-vs-exact, splitting,
+    simulator, plan, DSE), then the degraded-mode, fusion and schedule
+    oracles. *)
 
 val names : string list
 

@@ -31,6 +31,15 @@ let mem t i =
   check t i;
   t.words.(i / word_bits) land (1 lsl (i mod word_bits)) <> 0
 
+let mem_any t indices len =
+  let words = t.words in
+  let rec go k =
+    k < len
+    && (let i = indices.(k) in
+        words.(i / word_bits) land (1 lsl (i mod word_bits)) <> 0 || go (k + 1))
+  in
+  go 0
+
 let reset t = Array.fill t.words 0 (Array.length t.words) 0
 
 let union_into ~dst src =

@@ -17,6 +17,12 @@ val clear : t -> int -> unit
 val mem : t -> int -> bool
 (** All three raise [Invalid_argument] on out-of-range bits. *)
 
+val mem_any : t -> int array -> int -> bool
+(** [mem_any t indices len] is whether any of [indices.(0 .. len-1)] is
+    in [t]: one word load and mask test per index, stopping at the first
+    member.  Indices at or past the width read as absent when they fall
+    in the last word and raise [Invalid_argument] beyond it. *)
+
 val reset : t -> unit
 (** Clear every bit in place. *)
 

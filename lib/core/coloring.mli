@@ -6,10 +6,18 @@
     largest member assigned to it.  The default heuristic places items in
     decreasing size order into the compatible buffer whose size grows the
     least; [First_fit] (classic lowest-index color) is kept for the
-    ablation bench. *)
+    ablation bench.
+
+    Both strategies reduce to "the first compatible buffer in creation
+    order", which the implementation finds with an early-exit scan.
+    Under [Min_growth] items arrive in decreasing size, so every open
+    buffer is already at least as large as the item being placed: every
+    compatible buffer's growth is 0, and the least-growth rule, ties to
+    the earliest, picks the first one. *)
 
 type strategy =
-  | Min_growth  (** Decreasing size, cheapest compatible buffer. *)
+  | Min_growth  (** Decreasing size, cheapest compatible buffer (the
+                    first, as the growth is always 0). *)
   | First_fit   (** Decreasing degree, lowest-index compatible buffer. *)
 
 val color :

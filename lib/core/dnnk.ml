@@ -65,12 +65,21 @@ type row_entry = {
   row_tbl : row_tbl;
 }
 
+type work = {
+  allocate_calls : int;
+  dp_rows : int;
+  rows_rebuilt : int;
+  rows_warm : int;
+  compensation_evals : int;
+  sweep_gain_evals : int;
+}
+
 (* Scratch state shared across allocator calls (the splitting loop
-   re-runs the allocator up to 16 times over near-identical buffer
-   sets): per-member-list memos of affected nodes, static gains and the
-   full compensation row state, plus the DP arrays, which are zeroed
-   rather than reallocated.  A workspace is only valid against the
-   metric it first ran with. *)
+   re-runs the allocator up to 16 times): per-member-list memos of
+   affected nodes, static gains and the full compensation row state,
+   the DP arrays, which are zeroed rather than reallocated, the
+   id-indexed owner table and on-chip masks, and the work counters.  A
+   workspace is only valid against the metric it first ran with. *)
 type workspace = {
   affected_memo : (Metric.item list, int array) Hashtbl.t;
   static_gain_memo : (Metric.item list, float) Hashtbl.t;
@@ -80,7 +89,19 @@ type workspace = {
   mutable dp_rows : bool array array;
   mutable gain_buf : float array;
   mutable key_buf : int array;
+  mutable owner : int array;     (* DP row owning each item id; -1 = none *)
+  mutable on_mask : Bytes.t;     (* ids on chip *)
+  mutable add_mask : Bytes.t;    (* ids of the buffer being priced *)
+  mutable work : work;
 }
+
+let no_work =
+  { allocate_calls = 0;
+    dp_rows = 0;
+    rows_rebuilt = 0;
+    rows_warm = 0;
+    compensation_evals = 0;
+    sweep_gain_evals = 0 }
 
 let workspace () =
   { affected_memo = Hashtbl.create 64;
@@ -90,7 +111,24 @@ let workspace () =
     dp_curr = [||];
     dp_rows = [||];
     gain_buf = [||];
-    key_buf = [||] }
+    key_buf = [||];
+    owner = [||];
+    on_mask = Bytes.empty;
+    add_mask = Bytes.empty;
+    work = no_work }
+
+let work ws = ws.work
+
+(* Size the id-indexed scratch to the metric once.  [finish] clears the
+   on-chip mask before use; the add mask is all zero between uses. *)
+let prepare ws metric =
+  let ids = Metric.id_count metric in
+  if Bytes.length ws.on_mask <> ids then begin
+    ws.owner <- Array.make ids (-1);
+    ws.on_mask <- Bytes.make ids '\000';
+    ws.add_mask <- Bytes.make ids '\000'
+  end;
+  ws.work <- { ws.work with allocate_calls = ws.work.allocate_calls + 1 }
 
 let block_bytes = Fpga.Resource.uram_bytes
 
@@ -102,22 +140,15 @@ let items_of_vbufs vbufs =
 let set_of_vbufs vbufs =
   Metric.Item_set.of_list (items_of_vbufs vbufs)
 
-let finish metric ~capacity_blocks vbufs chosen_ids =
-  let chosen_tbl = Hashtbl.create (2 * List.length chosen_ids + 1) in
-  List.iter (fun id -> Hashtbl.replace chosen_tbl id ()) chosen_ids;
-  let chosen, spilled =
-    List.partition (fun vb -> Hashtbl.mem chosen_tbl vb.Vbuffer.vbuf_id) vbufs
-  in
-  let on_chip = set_of_vbufs chosen in
-  { chosen;
-    spilled;
-    on_chip;
-    predicted_latency = Metric.total_latency metric ~on_chip;
-    capacity_blocks;
-    used_blocks =
-      List.fold_left
-        (fun acc vb -> acc + blocks_of_bytes vb.Vbuffer.size_bytes)
-        0 chosen }
+let mem mask i = Bytes.unsafe_get mask i <> '\000'
+
+let mark metric mask c members =
+  List.iter
+    (fun it ->
+      match Metric.item_id metric it with
+      | Some i -> Bytes.unsafe_set mask i c
+      | None -> ())
+    members
 
 (* Nodes whose latency any member of the buffer influences. *)
 let affected_nodes_of_vbuf ws metric vb =
@@ -132,16 +163,49 @@ let affected_nodes_of_vbuf ws metric vb =
     Hashtbl.add ws.affected_memo members nodes;
     nodes
 
+(* [Metric.marginal_gain_many] of the buffer's members against the
+   on-chip mask, with the members marked in the add mask only while the
+   gain is evaluated. *)
+let vbuf_gain ws metric ~on vb =
+  mark metric ws.add_mask '\001' vb.Vbuffer.members;
+  let add = ws.add_mask in
+  let gain =
+    Metric.gain_id metric ~before:on
+      ~after:(fun i -> on i || mem add i)
+      (affected_nodes_of_vbuf ws metric vb)
+  in
+  mark metric ws.add_mask '\000' vb.Vbuffer.members;
+  gain
+
 let static_gain_of_vbuf ws metric vb =
   let members = vb.Vbuffer.members in
   match Hashtbl.find_opt ws.static_gain_memo members with
   | Some gain -> gain
   | None ->
-    let gain =
-      Metric.marginal_gain_many metric ~on_chip:Metric.Item_set.empty members
-    in
+    let gain = vbuf_gain ws metric ~on:(fun _ -> false) vb in
     Hashtbl.add ws.static_gain_memo members gain;
     gain
+
+(* The allocator's result for the chosen buffer ids.  Leaves the chosen
+   items marked in the workspace's on-chip mask for [sweep_up]. *)
+let finish ws metric ~capacity_blocks vbufs chosen_ids =
+  let chosen_tbl = Hashtbl.create (2 * List.length chosen_ids + 1) in
+  List.iter (fun id -> Hashtbl.replace chosen_tbl id ()) chosen_ids;
+  let chosen, spilled =
+    List.partition (fun vb -> Hashtbl.mem chosen_tbl vb.Vbuffer.vbuf_id) vbufs
+  in
+  Bytes.fill ws.on_mask 0 (Bytes.length ws.on_mask) '\000';
+  List.iter (fun vb -> mark metric ws.on_mask '\001' vb.Vbuffer.members) chosen;
+  let on_mask = ws.on_mask in
+  { chosen;
+    spilled;
+    on_chip = set_of_vbufs chosen;
+    predicted_latency = Metric.total_latency_id metric ~on:(mem on_mask);
+    capacity_blocks;
+    used_blocks =
+      List.fold_left
+        (fun acc vb -> acc + blocks_of_bytes vb.Vbuffer.size_bytes)
+        0 chosen }
 
 (* How one DP row supplies its gains: a column-independent constant, or
    a filler that writes the gain for every source column 0..cols-1 into
@@ -158,6 +222,7 @@ type row_gain =
    the workspace and are cleared, not reallocated, on reuse. *)
 let knapsack_dp ws ~capacity ~sizes ~row_gain =
   let n = Array.length sizes in
+  ws.work <- { ws.work with dp_rows = ws.work.dp_rows + n };
   if Array.length ws.dp_prev <= capacity then begin
     ws.dp_prev <- Array.make (capacity + 1) 0.;
     ws.dp_curr <- Array.make (capacity + 1) 0.
@@ -222,7 +287,9 @@ let knapsack_dp ws ~capacity ~sizes ~row_gain =
    spilled buffer whose marginal gain against the chosen set is positive.
    This recovers value the max-structure hides from per-row compensation
    (a term only pays off once its node's larger terms are also pinned). *)
-let sweep_up metric ~capacity_blocks result =
+let sweep_up ws metric ~capacity_blocks result =
+  let on_mask = ws.on_mask in
+  let on = mem on_mask in
   let rec loop result =
     let free = capacity_blocks - result.used_blocks in
     let candidate =
@@ -230,12 +297,12 @@ let sweep_up metric ~capacity_blocks result =
         (fun vb ->
           let blocks = blocks_of_bytes vb.Vbuffer.size_bytes in
           if blocks > free then None
-          else
-            let gain =
-              Metric.marginal_gain_many metric ~on_chip:result.on_chip
-                vb.Vbuffer.members
-            in
-            if gain > 1e-15 then Some (gain, vb) else None)
+          else begin
+            ws.work <-
+              { ws.work with sweep_gain_evals = ws.work.sweep_gain_evals + 1 };
+            let gain = vbuf_gain ws metric ~on vb in
+            if gain > 1e-15 then Some (gain, vb) else None
+          end)
         result.spilled
     in
     match candidate with
@@ -251,6 +318,7 @@ let sweep_up metric ~capacity_blocks result =
           (fun acc it -> Metric.Item_set.add it acc)
           result.on_chip best.Vbuffer.members
       in
+      mark metric on_mask '\001' best.Vbuffer.members;
       loop
         { result with
           chosen;
@@ -258,7 +326,7 @@ let sweep_up metric ~capacity_blocks result =
             List.filter (fun vb -> vb.Vbuffer.vbuf_id <> best.Vbuffer.vbuf_id)
               result.spilled;
           on_chip;
-          predicted_latency = Metric.total_latency metric ~on_chip;
+          predicted_latency = Metric.total_latency_id metric ~on;
           used_blocks = result.used_blocks + blocks_of_bytes best.Vbuffer.size_bytes }
   in
   loop result
@@ -342,6 +410,7 @@ let allocate ?(compensation = Table_approx) ?(rounds = 4) ?workspace:ws ?pool
     metric ~capacity_bytes vbufs =
   if capacity_bytes < 0 then invalid_arg "Dnnk.allocate: negative capacity";
   let ws = match ws with Some ws -> ws | None -> workspace () in
+  prepare ws metric;
   let capacity = capacity_bytes / block_bytes in
   (* Process buffers in decreasing static-gain order: the row-memo
      compensation then sees a node's dominant terms before its minor
@@ -357,32 +426,39 @@ let allocate ?(compensation = Table_approx) ?(rounds = 4) ?workspace:ws ?pool
   let total_blocks = Array.fold_left ( + ) 0 sizes in
   if total_blocks <= capacity then
     (* Everything fits: pinning all of it dominates any subset. *)
-    finish metric ~capacity_blocks:capacity vbufs
+    finish ws metric ~capacity_blocks:capacity vbufs
       (List.map (fun vb -> vb.Vbuffer.vbuf_id) vbufs)
   else
   let affected = Array.map (affected_nodes_of_vbuf ws metric) vbuf_arr in
-  (* Which DP row owns each item, for compensation lookups.  Buffers
+  (* Which DP row owns each item id, for compensation lookups.  Buffers
      from the coloring pass never share an item; should a hand-built
-     input violate that, membership tests fall back to list scans so the
-     last-writer-wins owner table stays a pure compensation index. *)
-  let owner = Hashtbl.create 256 in
+     input violate that, membership tests fall back to scans of the
+     row's member ids so the last-writer-wins owner table stays a pure
+     compensation index.  Items no node queries have no id and cannot
+     influence any gain. *)
+  let member_ids =
+    Array.map
+      (fun vb ->
+        Array.of_list (List.filter_map (Metric.item_id metric) vb.Vbuffer.members))
+      vbuf_arr
+  in
+  let owner = ws.owner in
+  Array.fill owner 0 (Array.length owner) (-1);
   let shared_items = ref false in
   Array.iteri
-    (fun i vb ->
-      List.iter
-        (fun it ->
-          (match Hashtbl.find_opt owner it with
-          | Some j when j <> i -> shared_items := true
-          | Some _ | None -> ());
-          Hashtbl.replace owner it i)
-        vb.Vbuffer.members)
-    vbuf_arr;
+    (fun i ids ->
+      Array.iter
+        (fun id ->
+          let j = owner.(id) in
+          if j >= 0 && j <> i then shared_items := true;
+          owner.(id) <- i)
+        ids)
+    member_ids;
   let member_test index =
-    if !shared_items then fun item -> List.mem item vbuf_arr.(index).Vbuffer.members
-    else fun item ->
-      match Hashtbl.find_opt owner item with
-      | Some k -> k = index
-      | None -> false
+    if !shared_items then
+      let ids = member_ids.(index) in
+      fun id -> Array.mem id ids
+    else fun id -> owner.(id) = index
   in
   match compensation with
   | Table_approx ->
@@ -419,15 +495,17 @@ let allocate ?(compensation = Table_approx) ?(rounds = 4) ?workspace:ws ?pool
       let rows_rev = ref [] in
       for k = 0 to m - 1 do
         let acc = ref [] in
-        Metric.iter_queried_items metric aff.(k) (fun item ->
-            match Hashtbl.find_opt owner item with
-            | Some o when o < index ->
+        Array.iter
+          (fun id ->
+            let o = owner.(id) in
+            if o >= 0 && o < index then begin
               if not (List.mem o !acc) then acc := o :: !acc;
               if not earlier_seen.(o) then begin
                 earlier_seen.(o) <- true;
                 rows_rev := o :: !rows_rev
               end
-            | Some _ | None -> ());
+            end)
+          metric.Metric.queries.(aff.(k));
         if !acc <> [] then nd.(k) <- Array.of_list (List.rev !acc)
       done;
       let deps = Array.of_list (List.rev !rows_rev) in
@@ -491,6 +569,11 @@ let allocate ?(compensation = Table_approx) ?(rounds = 4) ?workspace:ws ?pool
         fresh := index :: !fresh
     done;
     let fresh = List.rev !fresh in
+    let rebuilt = List.length fresh in
+    ws.work <-
+      { ws.work with
+        rows_rebuilt = ws.work.rows_rebuilt + rebuilt;
+        rows_warm = ws.work.rows_warm + n - rebuilt };
     (* Phase B: column-independent constants of the fresh rows.  Rows
        write disjoint entries and only read the metric and the owner
        table, so chunks run on the pool; results are position-addressed,
@@ -502,8 +585,8 @@ let allocate ?(compensation = Table_approx) ?(rounds = 4) ?workspace:ws ?pool
       let m = Array.length aff in
       for k = 0 to m - 1 do
         if not e.dep_flags.(k) then begin
-          e.const_without.(k) <- Metric.node_latency_pred metric ~on:on_false aff.(k);
-          e.const_with.(k) <- Metric.node_latency_pred metric ~on:members_only aff.(k)
+          e.const_without.(k) <- Metric.node_latency_id metric ~on:on_false aff.(k);
+          e.const_with.(k) <- Metric.node_latency_id metric ~on:members_only aff.(k)
         end
       done;
       let total = ref 0. in
@@ -526,17 +609,18 @@ let allocate ?(compensation = Table_approx) ?(rounds = 4) ?workspace:ws ?pool
       let e = entries.(index) in
       let nd = node_deps.(index).(k) in
       let compute () =
+        ws.work <-
+          { ws.work with compensation_evals = ws.work.compensation_evals + 1 };
         let members_only = member_test index in
-        let recorded item =
-          match Hashtbl.find_opt owner item with
-          | Some o when o < index -> pbuf_table.(o + 1).(col)
-          | Some _ | None -> false
+        let recorded id =
+          let o = owner.(id) in
+          o >= 0 && o < index && pbuf_table.(o + 1).(col)
         in
         let node = affected.(index).(k) in
-        let p1 = Metric.node_latency_pred metric ~on:recorded node in
+        let p1 = Metric.node_latency_id metric ~on:recorded node in
         let p2 =
-          Metric.node_latency_pred metric
-            ~on:(fun it -> recorded it || members_only it)
+          Metric.node_latency_id metric
+            ~on:(fun id -> recorded id || members_only id)
             node
         in
         (p1, p2)
@@ -650,8 +734,8 @@ let allocate ?(compensation = Table_approx) ?(rounds = 4) ?workspace:ws ?pool
       | Row_direct _ | Row_hash _ | Row_wide -> Fill_gains (fill index)
     in
     let chosen = knapsack_dp ws ~capacity ~sizes ~row_gain in
-    sweep_up metric ~capacity_blocks:capacity
-      (finish metric ~capacity_blocks:capacity vbufs
+    sweep_up ws metric ~capacity_blocks:capacity
+      (finish ws metric ~capacity_blocks:capacity vbufs
          (List.map (fun i -> vbuf_arr.(i).Vbuffer.vbuf_id) chosen))
   | Exact_iterative ->
     (* Round 0 seeds with static (empty-allocation) gains; later rounds
@@ -671,8 +755,8 @@ let allocate ?(compensation = Table_approx) ?(rounds = 4) ?workspace:ws ?pool
     let run () =
       let row_gain index = Const_gain gains.(index) in
       let chosen = knapsack_dp ws ~capacity ~sizes ~row_gain in
-      sweep_up metric ~capacity_blocks:capacity
-        (finish metric ~capacity_blocks:capacity vbufs
+      sweep_up ws metric ~capacity_blocks:capacity
+        (finish ws metric ~capacity_blocks:capacity vbufs
            (List.map (fun i -> vbuf_arr.(i).Vbuffer.vbuf_id) chosen))
     in
     seed Metric.Item_set.empty;

@@ -95,10 +95,13 @@ let pass_times_total () =
   Mutex.unlock cumulative_mutex;
   t
 
+(* Microseconds on the monotonic clock (CLOCK_MONOTONIC): a wall-clock
+   step cannot make a pass time negative or inflate it. *)
 let timed cell f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let result = f () in
-  cell := !cell +. ((Unix.gettimeofday () -. t0) *. 1e6);
+  let ns = Int64.sub (Monotonic_clock.now ()) t0 in
+  cell := !cell +. (Int64.to_float ns *. 1e-3);
   result
 
 type plan = {
@@ -114,6 +117,7 @@ type plan = {
   tensor_sram_bytes : int;
   channel_assignment : Channels.assignment option;
   pass_times : pass_times;
+  dnnk_work : Dnnk.work;
 }
 
 let is_weight_item = function
@@ -418,7 +422,8 @@ let plan ?(options = default_options) ?(stall_scale = 1.) ?pool config g =
     pol = (if bound = 0 then 1. else float_of_int helped /. float_of_int bound);
     tensor_sram_bytes = allocation.Dnnk.used_blocks * Dnnk.block_bytes;
     channel_assignment;
-    pass_times }
+    pass_times;
+    dnnk_work = Dnnk.work workspace }
 
 let plan_partitioned ?(options = default_options) ?stall_scale ?pool
     ~capacity_bytes config g =

@@ -53,7 +53,7 @@ type pass_times = {
       (** The runtime's DRAM schedule search; 0 for pure plans —
           {!Lcmm_runtime} records it via {!record_pass_times}. *)
 }
-(** Per-pass wall-clock microseconds for one planner run. *)
+(** Per-pass microseconds on the monotonic clock for one planner run. *)
 
 val zero_pass_times : pass_times
 val add_pass_times : pass_times -> pass_times -> pass_times
@@ -83,7 +83,10 @@ type plan = {
   tensor_sram_bytes : int;         (** SRAM granted to tensor buffers. *)
   channel_assignment : Channels.assignment option;
       (** DDR channel map for every stream, when [options.channels > 1]. *)
-  pass_times : pass_times;         (** Wall-clock breakdown of this run. *)
+  pass_times : pass_times;         (** Monotonic-clock breakdown of this run. *)
+  dnnk_work : Dnnk.work;
+      (** DNNK work counts over the initial allocation and every
+          splitting re-run; machine-independent. *)
 }
 
 val plan :

@@ -19,22 +19,38 @@ type t = {
   profiles : Latency.profile array;
   affected : (item, int list) Hashtbl.t;
   slices : int array;
+  weight_items : item array;
+  weight_base : int array;
+  queries : int array array;
 }
 
+(* Dense item ids: feature value [v] is id [v] (every node queries its
+   own output), then each weight-carrying node's [Weight_of] or its [k]
+   slices, in node order. *)
 let build ?(weight_slices = fun _ -> 1) graph profiles =
+  let n = Array.length profiles in
   let affected = Hashtbl.create 256 in
-  let slices = Array.make (Array.length profiles) 1 in
+  let slices = Array.make n 1 in
+  let weight_base = Array.make n (-1) in
+  let weights = ref [] and next = ref n in
   Array.iter
     (fun p ->
       let id = p.Latency.node_id in
       if p.Latency.wt_term > 0. then begin
         let k = max 1 (weight_slices id) in
         slices.(id) <- k;
-        if k = 1 then Hashtbl.replace affected (Weight_of id) [ id ]
+        weight_base.(id) <- !next;
+        if k = 1 then begin
+          Hashtbl.replace affected (Weight_of id) [ id ];
+          weights := Weight_of id :: !weights
+        end
         else
           for index = 0 to k - 1 do
-            Hashtbl.replace affected (Weight_slice { node = id; index; of_k = k }) [ id ]
-          done
+            let item = Weight_slice { node = id; index; of_k = k } in
+            Hashtbl.replace affected item [ id ];
+            weights := item :: !weights
+          done;
+        next := !next + k
       end)
     profiles;
   (* A feature value affects its producer (output stream) and every
@@ -48,7 +64,43 @@ let build ?(weight_slices = fun _ -> 1) graph profiles =
       if nodes <> [] then Hashtbl.replace affected (Feature_value v) nodes
     end
   done;
-  { graph; profiles; affected; slices }
+  let weight_items = Array.of_list (List.rev !weights) in
+  (* Each node's queries in evaluation order: its weight (or its k
+     slices), its inputs in [if_terms] order, then its output. *)
+  let queries =
+    Array.mapi
+      (fun id p ->
+        let w = if p.Latency.wt_term > 0. then slices.(id) else 0 in
+        let q = Array.make (w + List.length p.Latency.if_terms + 1) id in
+        for s = 0 to w - 1 do
+          q.(s) <- weight_base.(id) + s
+        done;
+        List.iteri (fun i (v, _) -> q.(w + i) <- v) p.Latency.if_terms;
+        q)
+      profiles
+  in
+  { graph; profiles; affected; slices; weight_items; weight_base; queries }
+
+let id_count t = Array.length t.profiles + Array.length t.weight_items
+
+let item_of_id t id =
+  let n = Array.length t.profiles in
+  if id < n then Feature_value id else t.weight_items.(id - n)
+
+let item_id t item =
+  let n = Array.length t.profiles in
+  match item with
+  | Feature_value v -> if v >= 0 && v < n then Some v else None
+  | Weight_of node ->
+    if node >= 0 && node < n && t.weight_base.(node) >= 0 && t.slices.(node) = 1
+    then Some t.weight_base.(node)
+    else None
+  | Weight_slice { node; index; of_k } ->
+    if
+      node >= 0 && node < n && t.weight_base.(node) >= 0 && of_k > 1
+      && t.slices.(node) = of_k && index >= 0 && index < of_k
+    then Some (t.weight_base.(node) + index)
+    else None
 
 let weight_bytes dtype t n =
   match G.weight_shape t.graph n with
@@ -64,64 +116,54 @@ let item_size_bytes dtype t = function
 let affected_nodes t item =
   match Hashtbl.find_opt t.affected item with Some l -> l | None -> []
 
+(* [Stdlib.max] specialised to floats: the same comparison, unboxed. *)
+let fmax (a : float) b = if a >= b then a else b
+
 (* Eq. 1 with fractional weight residency: the streamed share of a sliced
    weight tensor scales its transfer term. *)
-let node_latency_pred t ~on id =
+let node_latency_id t ~on id =
   let p = t.profiles.(id) in
+  let q = t.queries.(id) in
   let k = t.slices.(id) in
+  let w = if p.Latency.wt_term > 0. then k else 0 in
   let wt_time =
-    if p.Latency.wt_term <= 0. then 0.
-    else if k = 1 then if on (Weight_of id) then 0. else p.Latency.wt_term
+    if w = 0 then 0.
+    else if k = 1 then if on q.(0) then 0. else p.Latency.wt_term
     else begin
       let off = ref 0 in
-      for index = 0 to k - 1 do
-        if not (on (Weight_slice { node = id; index; of_k = k })) then incr off
+      for s = 0 to k - 1 do
+        if not (on q.(s)) then incr off
       done;
       p.Latency.wt_term *. float_of_int !off /. float_of_int k
     end
   in
-  let if_time =
-    List.fold_left
-      (fun acc (v, seconds) -> if on (Feature_value v) then acc else acc +. seconds)
-      0. p.Latency.if_terms
+  let rec inputs acc i = function
+    | [] -> acc
+    | (_, seconds) :: rest ->
+      inputs (if on q.(i) then acc else acc +. seconds) (i + 1) rest
   in
-  let of_time = if on (Feature_value id) then 0. else p.Latency.of_term in
-  max p.Latency.latc (max if_time (max wt_time of_time))
+  let if_time = inputs 0. w p.Latency.if_terms in
+  let of_time = if on q.(Array.length q - 1) then 0. else p.Latency.of_term in
+  fmax p.Latency.latc (fmax if_time (fmax wt_time of_time))
 
-(* The exact item set [node_latency_pred] queries for a node, in query
-   order.  DNNK's compensation tables key their memo bits on this set,
-   and warm-started workspaces rely on the order being a pure function
-   of the metric — keep it in lockstep with [node_latency_pred]. *)
-let iter_queried_items t id f =
-  let p = t.profiles.(id) in
-  let k = t.slices.(id) in
-  if p.Latency.wt_term > 0. then begin
-    if k = 1 then f (Weight_of id)
-    else
-      for index = 0 to k - 1 do
-        f (Weight_slice { node = id; index; of_k = k })
-      done
-  end;
-  List.iter (fun (v, _) -> f (Feature_value v)) p.Latency.if_terms;
-  f (Feature_value id)
-
-let node_latency t ~on_chip id =
-  node_latency_pred t ~on:(fun item -> Item_set.mem item on_chip) id
-
-let total_latency t ~on_chip =
+let total_latency_id t ~on =
   let sum = ref 0. in
   for id = 0 to Array.length t.profiles - 1 do
-    sum := !sum +. node_latency t ~on_chip id
+    sum := !sum +. node_latency_id t ~on id
   done;
   !sum
 
-let marginal_gain t ~on_chip item =
-  let nodes = affected_nodes t item in
-  let with_item = Item_set.add item on_chip in
-  List.fold_left
+let gain_id t ~before ~after nodes =
+  Array.fold_left
     (fun acc id ->
-      acc +. node_latency t ~on_chip id -. node_latency t ~on_chip:with_item id)
+      acc +. node_latency_id t ~on:before id -. node_latency_id t ~on:after id)
     0. nodes
+
+let mem_pred t on_chip id = Item_set.mem (item_of_id t id) on_chip
+
+let node_latency t ~on_chip id = node_latency_id t ~on:(mem_pred t on_chip) id
+
+let total_latency t ~on_chip = total_latency_id t ~on:(mem_pred t on_chip)
 
 let marginal_gain_many t ~on_chip items =
   let nodes =
@@ -130,10 +172,13 @@ let marginal_gain_many t ~on_chip items =
   let with_items =
     List.fold_left (fun acc it -> Item_set.add it acc) on_chip items
   in
-  List.fold_left
-    (fun acc id ->
-      acc +. node_latency t ~on_chip id -. node_latency t ~on_chip:with_items id)
-    0. nodes
+  gain_id t ~before:(mem_pred t on_chip) ~after:(mem_pred t with_items)
+    (Array.of_list nodes)
+
+let marginal_gain t ~on_chip item =
+  let with_item = Item_set.add item on_chip in
+  gain_id t ~before:(mem_pred t on_chip) ~after:(mem_pred t with_item)
+    (Array.of_list (affected_nodes t item))
 
 (* Eq. 2 against the all-off-chip state: per affected node, the node's
    UMM latency minus its latency with only this item pinned. *)

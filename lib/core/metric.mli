@@ -27,6 +27,17 @@ type t = private {
       (** Nodes whose Eq. 1 latency depends on each item. *)
   slices : int array;
       (** Weight slicing granularity per node (1 = whole tensor). *)
+  weight_items : item array;
+      (** The weight items in id order: item [i] has id
+          [Array.length profiles + i] (see {!item_id}). *)
+  weight_base : int array;
+      (** Id of each node's first weight item; -1 without weights. *)
+  queries : int array array;
+      (** Per node, the ids {!node_latency_id} reads, in query order:
+          the weight (or its [k] slices), the inputs in [if_terms]
+          order, then the output.  DNNK's compensation tables derive
+          their memo-key bit layout from these arrays, so the layout and
+          the evaluator cannot drift apart. *)
 }
 
 val build :
@@ -34,7 +45,23 @@ val build :
   Accel.Latency.profile array -> t
 (** [weight_slices node] (default [fun _ -> 1]) picks the slicing
     granularity per weight-carrying node; values above 1 replace the
-    node's [Weight_of] item with that many [Weight_slice] items. *)
+    node's [Weight_of] item with that many [Weight_slice] items.
+
+    [build] also numbers every item some node's Eq. 1 reads with a dense
+    int id: feature value [v] is id [v], then each weight-carrying
+    node's weight item (or its slices) in node order.  The set of ids
+    covers every key of [affected]. *)
+
+val id_count : t -> int
+(** Number of dense item ids: ids are [0 .. id_count - 1]. *)
+
+val item_id : t -> item -> int option
+(** Dense id of an item; [None] for an item no node's latency reads
+    (a weight of a weightless node, a slice of the wrong granularity, an
+    out-of-range value). *)
+
+val item_of_id : t -> int -> item
+(** The inverse of {!item_id} on [0 .. id_count - 1]. *)
 
 val item_size_bytes : Tensor.Dtype.t -> t -> item -> int
 (** Storage the item needs on chip. *)
@@ -42,21 +69,29 @@ val item_size_bytes : Tensor.Dtype.t -> t -> item -> int
 val affected_nodes : t -> item -> int list
 (** Nodes whose latency changes when the item's placement changes. *)
 
+val node_latency_id : t -> on:(int -> bool) -> int -> float
+(** [node_latency_id t ~on id] is Eq. 1 latency of node [id] with the
+    allocation given as a predicate over dense item ids: [max] of the
+    compute term and each interface's streamed time, a sliced weight's
+    term scaled by its off-chip share.  The one evaluator: every other
+    latency query is a view over it.  [on] is called once per entry of
+    [queries.(id)], in order. *)
+
 val node_latency : t -> on_chip:Item_set.t -> int -> float
 (** Eq. 1 latency of one node under the allocation. *)
 
-val node_latency_pred : t -> on:(item -> bool) -> int -> float
-(** Like {!node_latency} with the allocation as a predicate — the hot
-    path of DNNK's inner loop, avoiding set construction. *)
-
-val iter_queried_items : t -> int -> (item -> unit) -> unit
-(** [iter_queried_items t id f] calls [f] on exactly the items
-    {!node_latency_pred} queries for node [id], in query order.  DNNK's
-    compensation tables derive their memo-key bit layout from this
-    enumeration; it is a pure function of the metric. *)
-
 val total_latency : t -> on_chip:Item_set.t -> float
 (** Whole-network latency (sequential node execution). *)
+
+val total_latency_id : t -> on:(int -> bool) -> float
+(** {!total_latency} with the allocation as a predicate over ids: the
+    node latencies summed in node order. *)
+
+val gain_id :
+  t -> before:(int -> bool) -> after:(int -> bool) -> int array -> float
+(** [gain_id t ~before ~after nodes] folds, over [nodes] in order,
+    [acc +. latency under before -. latency under after] from [0.] —
+    the float shape of every marginal gain. *)
 
 val marginal_gain : t -> on_chip:Item_set.t -> item -> float
 (** Latency saved by adding the item to the allocation; >= 0. *)

@@ -94,3 +94,16 @@ let interval_gen =
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+
+(* A generated mixed-family graph planned the way the large-graph
+   benchmark plans it: 16-bit LCMM design, a quarter of the SRAM budget. *)
+let large_plan ~seed ~nodes =
+  let st = Random.State.make [| seed; nodes |] in
+  let g = Check.Gen.sized_graph ~family:Check.Gen.Mixed st ~nodes in
+  let cfg = Accel.Config.make ~style:Accel.Config.Lcmm Tensor.Dtype.I16 in
+  let options =
+    { Lcmm.Framework.default_options with
+      Lcmm.Framework.capacity_override =
+        Some (Accel.Config.sram_budget_bytes cfg / 4) }
+  in
+  Lcmm.Framework.plan ~options cfg g

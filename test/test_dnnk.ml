@@ -146,6 +146,22 @@ let prop_matches_exact_on_random =
         r.Dnnk.predicted_latency <= (best.Policies.latency *. 1.05) +. 1e-12
       end)
 
+let test_work_counters () =
+  (* Exact DNNK work over one large splitting run: the initial
+     allocation plus every re-run.  The counts depend only on the graph,
+     so an algorithmic regression (lost warm starts, lost memo hits, a
+     wider sweep-up) changes them on any machine. *)
+  let p = Helpers.large_plan ~seed:2026 ~nodes:1024 in
+  let w = p.Lcmm.Framework.dnnk_work in
+  (* Three allocations of 195 buffers: the initial one and two splitting
+     re-runs, which warm-start 113 and then 36 rows. *)
+  Alcotest.(check int) "allocate calls" 3 w.Dnnk.allocate_calls;
+  Alcotest.(check int) "dp rows" 585 w.Dnnk.dp_rows;
+  Alcotest.(check int) "rows rebuilt" 436 w.Dnnk.rows_rebuilt;
+  Alcotest.(check int) "rows warm" 149 w.Dnnk.rows_warm;
+  Alcotest.(check int) "compensation evals" 5805 w.Dnnk.compensation_evals;
+  Alcotest.(check int) "sweep-up gain evals" 0 w.Dnnk.sweep_gain_evals
+
 let suite =
   [ Alcotest.test_case "respects capacity" `Quick test_respects_capacity;
     Alcotest.test_case "zero capacity" `Quick test_zero_capacity_chooses_nothing;
@@ -154,6 +170,7 @@ let suite =
     Alcotest.test_case "blocks of bytes" `Quick test_blocks_of_bytes;
     Alcotest.test_case "pivot compensation" `Quick test_pivot_compensation_counts_once;
     Alcotest.test_case "variants vs enumeration" `Quick test_variants_match_exact_enumeration;
+    Alcotest.test_case "work counters" `Quick test_work_counters;
     prop_never_worse_than_umm;
     prop_capacity_monotone;
     prop_matches_exact_on_random ]

@@ -175,6 +175,20 @@ let prop_on_chip_items_are_eligible =
       in
       Metric.Item_set.subset p.F.allocation.Dnnk.on_chip eligible)
 
+let test_large_graph_fingerprints () =
+  (* Plans beyond zoo scale, pinned by digest: any change to a buffer, a
+     pinning decision or one float of the objectives changes it. *)
+  List.iter
+    (fun (seed, nodes, want) ->
+      let p = Helpers.large_plan ~seed ~nodes in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d, %d nodes" seed nodes)
+        want
+        (Digest.to_hex (Digest.string (F.fingerprint p))))
+    [ (2026, 1024, "bc89657b010d9748a5a911a1adb2c0bf");
+      (7, 2048, "e980bb83c602c25d2866e9e64754f73e");
+      (2026, 4096, "7f349427bf6bf38a792ed5c27c1018cf") ]
+
 let suite =
   [ Alcotest.test_case "plan improves" `Quick test_plan_improves;
     Alcotest.test_case "option toggles" `Quick test_option_toggles;
@@ -182,6 +196,7 @@ let suite =
     Alcotest.test_case "memory-bound-only filter" `Quick test_memory_bound_only_filter;
     Alcotest.test_case "compare designs" `Quick test_compare_designs_shape;
     Alcotest.test_case "helped layers" `Quick test_helped_layers_consistent;
+    Alcotest.test_case "large-graph fingerprints" `Quick test_large_graph_fingerprints;
     prop_plan_never_worse_than_umm;
     prop_parallel_plan_deterministic;
     prop_channel_assignment_deterministic;

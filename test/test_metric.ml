@@ -135,6 +135,26 @@ let prop_joint_gain_dominates_solo =
           Metric.marginal_gain m ~on_chip:Metric.Item_set.empty it <= joint +. 1e-9)
         items)
 
+let test_eq1_ids_zoo () =
+  (* The dense-id evaluator against the item-predicate reference on
+     every zoo model and precision, with whole weights and 3- and 4-way
+     slices (a non-power-of-two count exposes any reordered rounding). *)
+  List.iter
+    (fun e ->
+      let g = e.Models.Zoo.build () in
+      List.iter
+        (fun dtype ->
+          List.iter
+            (fun weight_slices ->
+              match Check.Oracle.check_eq1_ids_graph ~weight_slices dtype g with
+              | Ok () -> ()
+              | Error msg ->
+                Alcotest.failf "%s %s, %d slices: %s" e.Models.Zoo.model_name
+                  (Tensor.Dtype.to_string dtype) weight_slices msg)
+            [ 1; 3; 4 ])
+        [ Tensor.Dtype.I8; Tensor.Dtype.I16; Tensor.Dtype.F32 ])
+    Models.Zoo.all
+
 let suite =
   [ Alcotest.test_case "affected nodes" `Quick test_affected_nodes;
     Alcotest.test_case "total latency = UMM when empty" `Quick test_total_latency_matches_umm;
@@ -144,5 +164,6 @@ let suite =
     Alcotest.test_case "static reduction is Eq.2" `Quick test_static_reduction_is_eq2;
     Alcotest.test_case "eligibility" `Quick test_eligibility;
     Alcotest.test_case "item sizes" `Quick test_item_sizes;
+    Alcotest.test_case "eq1 ids zoo" `Quick test_eq1_ids_zoo;
     prop_latency_monotone;
     prop_joint_gain_dominates_solo ]
