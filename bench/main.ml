@@ -1102,72 +1102,15 @@ let perf_experiment () =
   header
     "Planner throughput: per-pass wall time on seeded random graphs \
      (mixed-family Gen, 16-bit, quarter SRAM budget)";
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, (Unix.gettimeofday () -. t0) *. 1e6)
+  let cfg = Accel.Config.make ~style:Accel.Config.Lcmm Tensor.Dtype.I16 in
+  let options =
+    { F.default_options with
+      capacity_override = Some (Accel.Config.sram_budget_bytes cfg / 4) }
   in
-  let dtype = Tensor.Dtype.I16 in
-  let cfg = Accel.Config.make ~style:Accel.Config.Lcmm dtype in
-  let capacity_bytes = Accel.Config.sram_budget_bytes cfg / 4 in
-  let never_share_class = function
-    | Metric.Weight_of _ | Metric.Weight_slice _ -> 1
-    | Metric.Feature_value _ -> 0
-  in
-  (* One full pipeline run, mirroring Framework.plan pass for pass so the
-     per-pass numbers are attributable to the library passes themselves. *)
-  let run_once g =
-    let profiles = Accel.Latency.profile_graph cfg g in
-    let metric = Metric.build g profiles in
-    let items =
-      Array.of_list (Metric.eligible_items metric ~memory_bound_only:true)
-    in
-    let sizes = Array.map (Metric.item_size_bytes dtype metric) items in
-    let weight_targets =
-      Array.to_list items
-      |> List.filter_map (function
-           | Metric.Weight_of n | Metric.Weight_slice { node = n; _ } -> Some n
-           | Metric.Feature_value _ -> None)
-      |> List.sort_uniq compare
-    in
-    let pdg, prefetch_us =
-      time (fun () ->
-          if weight_targets = [] then None
-          else
-            Some
-              (Lcmm.Prefetch.build metric ~targets:weight_targets
-                 ~node_latency:(fun id ->
-                   Accel.Latency.umm_node_latency profiles.(id))))
-    in
-    let prefetch_source n =
-      match pdg with None -> None | Some p -> Lcmm.Prefetch.source_of p n
-    in
-    let intervals, liveness_us =
-      time (fun () ->
-          Array.map (Lcmm.Liveness.item_interval g ~prefetch_source) items)
-    in
-    let interference, interference_us =
-      time (fun () ->
-          Lcmm.Interference.build ~never_share_class ~items ~intervals ())
-    in
-    let vbufs, coloring_us =
-      time (fun () -> Lcmm.Coloring.color interference ~sizes)
-    in
-    let workspace = Dnnk.workspace () in
-    let initial, dnnk_us =
-      time (fun () -> Dnnk.allocate ~workspace metric ~capacity_bytes vbufs)
-    in
-    let _, splitting_us =
-      time (fun () ->
-          Lcmm.Splitting.run ~workspace metric interference ~sizes
-            ~capacity_bytes initial)
-    in
-    ( Array.length items,
-      List.length vbufs,
-      [ ("prefetch_us", prefetch_us); ("liveness_us", liveness_us);
-        ("interference_us", interference_us); ("coloring_us", coloring_us);
-        ("dnnk_us", dnnk_us); ("splitting_us", splitting_us) ],
-      interference_us +. coloring_us +. dnnk_us )
+  let icd_of (p : F.plan) =
+    List.fold_left
+      (fun acc pass -> acc +. F.pass_us p.F.pass_times pass)
+      0. [ F.Interference; F.Coloring; F.Dnnk ]
   in
   Printf.printf "%7s %7s %6s %6s | %12s %12s %9s | %10s\n" "nodes" "items"
     "vbufs" "reps" "icd us" "baseline us" "speedup" "plans/s";
@@ -1185,18 +1128,28 @@ let perf_experiment () =
         (* Best-of-reps: wall-clock noise only ever inflates a run, so the
            minimum is the honest estimate of the pass cost. *)
         let best = ref None in
-        let total_us = ref 0. in
+        let total_s = ref 0. in
         for _ = 1 to reps do
-          let (items, vbufs, passes, icd), elapsed = time (fun () -> run_once g) in
-          total_us := !total_us +. elapsed;
+          let t0 = Unix.gettimeofday () in
+          let p = F.plan ~options cfg g in
+          total_s := !total_s +. (Unix.gettimeofday () -. t0);
           match !best with
-          | Some (_, _, _, best_icd) when best_icd <= icd -> ()
-          | _ -> best := Some (items, vbufs, passes, icd)
+          | Some best_p when icd_of best_p <= icd_of p -> ()
+          | _ -> best := Some p
         done;
-        let items, vbufs, passes, icd = Option.get !best in
+        let p = Option.get !best in
+        let icd = icd_of p in
+        let items =
+          List.length (Metric.eligible_items p.F.metric ~memory_bound_only:true)
+        in
+        let vbufs = List.length p.F.vbufs in
+        let passes =
+          List.map (fun pass -> (F.pass_name pass, F.pass_us p.F.pass_times pass))
+            F.passes
+        in
         let baseline = perf_baseline_icd_us nodes in
         let speedup = baseline /. icd in
-        let plans_per_sec = float_of_int reps *. 1e6 /. !total_us in
+        let plans_per_sec = float_of_int reps /. !total_s in
         Printf.printf "%7d %7d %6d %6d | %12.0f %12.0f %8.1fx | %10.2f\n%!"
           nodes items vbufs reps icd baseline speedup plans_per_sec;
         (nodes, Dnn_graph.Graph.node_count g, items, vbufs, passes, icd,

@@ -179,9 +179,10 @@ let plan_cmd =
   in
   let profile_arg =
     let doc =
-      "Print the per-pass wall-clock breakdown (liveness, interference, \
-       coloring, prefetch, DNNK, splitting, segmentation) to stderr.  \
-       Timings stay off stdout so the plan text remains byte-reproducible."
+      "Print the per-pass monotonic-clock breakdown (liveness, \
+       interference, coloring, prefetch, DNNK, splitting, segmentation, \
+       channel assignment, schedule) and its total to stderr.  Timings \
+       stay off stdout so the plan text remains byte-reproducible."
     in
     Arg.(value & flag & info [ "profile" ] ~doc)
   in
@@ -260,12 +261,15 @@ let plan_cmd =
         (Lcmm.Channels.balance a));
     if profile then begin
       Printf.eprintf "%s pass times:\n" model;
-      let assoc =
-        Lcmm.Framework.pass_times_assoc p.Lcmm.Framework.pass_times
+      let total =
+        List.fold_left
+          (fun acc pass ->
+            let us = Lcmm.Framework.pass_us p.Lcmm.Framework.pass_times pass in
+            Printf.eprintf "  %-16s %10.0f us\n" (Lcmm.Framework.pass_name pass) us;
+            acc +. us)
+          0. Lcmm.Framework.passes
       in
-      List.iter (fun (k, v) -> Printf.eprintf "  %-16s %10.0f us\n" k v) assoc;
-      Printf.eprintf "  %-16s %10.0f us\n" "total"
-        (List.fold_left (fun acc (_, v) -> acc +. v) 0. assoc)
+      Printf.eprintf "  %-16s %10.0f us\n" "total" total
     end
   in
   let fusion_arg =
@@ -1268,18 +1272,26 @@ let bench_serve_cmd =
               ~duration_s:duration ~slo_p99_ms ~threads ~max_steps:sat_steps
               ()
           in
+          (* Saturated only if the ladder's last rung failed to keep up;
+             otherwise [saturation_rps] is just the top rung offered. *)
+          let saturated =
+            match List.rev steps with
+            | [] -> false
+            | last :: _ -> not (Lcmm_tier.Loadgen.keeps_up ~slo_p99_ms last)
+          in
           Printf.eprintf
             "  %d shard(s): p50 %.2f ms  p99 %.2f ms  p999 %.2f ms  \
-             saturation %.0f rps\n%!"
+             saturation %.0f rps%s\n%!"
             n measured.Lcmm_tier.Loadgen.p50_ms
             measured.Lcmm_tier.Loadgen.p99_ms
-            measured.Lcmm_tier.Loadgen.p999_ms saturation_rps;
-          (n, measured, saturation_rps, steps))
+            measured.Lcmm_tier.Loadgen.p999_ms saturation_rps
+            (if saturated then "" else " (not saturated)");
+          (n, measured, saturation_rps, saturated, steps))
     in
     let tiers = List.map bench_tier counts in
     let slo_pass =
       List.for_all
-        (fun (_, m, _, _) -> m.Lcmm_tier.Loadgen.p99_ms <= slo_p99_ms)
+        (fun (_, m, _, _, _) -> m.Lcmm_tier.Loadgen.p99_ms <= slo_p99_ms)
         tiers
     in
     let module Json = Dnn_serial.Json in
@@ -1291,11 +1303,12 @@ let bench_serve_cmd =
           ( "tiers",
             Json.List
               (List.map
-                 (fun (n, m, saturation_rps, steps) ->
+                 (fun (n, m, saturation_rps, saturated, steps) ->
                    Json.Obj
                      [ ("shards", Json.Int n);
                        ("measured", Lcmm_tier.Loadgen.result_to_json m);
                        ("saturation_rps", Json.Float saturation_rps);
+                       ("saturated", Json.Bool saturated);
                        ( "ladder",
                          Json.List
                            (List.map Lcmm_tier.Loadgen.result_to_json steps)

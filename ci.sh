@@ -99,6 +99,7 @@ dune exec bench/main.exe -- perf --json "$out" > /dev/null
 grep -q '"experiment": "perf"' "$out"
 grep -q '"icd_speedup_1k"' "$out"
 grep -q '"plans_per_sec"' "$out"
+grep -q '"splitting_us"' "$out"
 # The interference+coloring+dnnk time at 1k nodes must hold the recorded
 # >= 20x speedup over the pre-optimization pipeline (baseline constants
 # are embedded in the benchmark; the bar was raised from 5x by the

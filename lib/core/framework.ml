@@ -33,75 +33,61 @@ let default_options =
     fusion = false;
     channels = 1 }
 
-type pass_times = {
-  liveness_us : float;
-  interference_us : float;
-  coloring_us : float;
-  prefetch_us : float;
-  dnnk_us : float;
-  splitting_us : float;
-  segmentation_us : float;
-  channel_assign_us : float;
-  schedule_us : float;
-}
+type pass =
+  | Liveness
+  | Interference
+  | Coloring
+  | Prefetch
+  | Dnnk
+  | Splitting
+  | Segmentation
+  | Channel_assign
+  | Schedule
 
-let zero_pass_times =
-  { liveness_us = 0.;
-    interference_us = 0.;
-    coloring_us = 0.;
-    prefetch_us = 0.;
-    dnnk_us = 0.;
-    splitting_us = 0.;
-    segmentation_us = 0.;
-    channel_assign_us = 0.;
-    schedule_us = 0. }
+(* Report order; a pass's cell in a [pass_times] table is its position
+   here. *)
+let passes =
+  [ Liveness; Interference; Coloring; Prefetch; Dnnk; Splitting;
+    Segmentation; Channel_assign; Schedule ]
 
-let add_pass_times a b =
-  { liveness_us = a.liveness_us +. b.liveness_us;
-    interference_us = a.interference_us +. b.interference_us;
-    coloring_us = a.coloring_us +. b.coloring_us;
-    prefetch_us = a.prefetch_us +. b.prefetch_us;
-    dnnk_us = a.dnnk_us +. b.dnnk_us;
-    splitting_us = a.splitting_us +. b.splitting_us;
-    segmentation_us = a.segmentation_us +. b.segmentation_us;
-    channel_assign_us = a.channel_assign_us +. b.channel_assign_us;
-    schedule_us = a.schedule_us +. b.schedule_us }
+let pass_name = function
+  | Liveness -> "liveness_us"
+  | Interference -> "interference_us"
+  | Coloring -> "coloring_us"
+  | Prefetch -> "prefetch_us"
+  | Dnnk -> "dnnk_us"
+  | Splitting -> "splitting_us"
+  | Segmentation -> "segmentation_us"
+  | Channel_assign -> "channel_assign_us"
+  | Schedule -> "schedule_us"
 
-let pass_times_assoc t =
-  [ ("liveness_us", t.liveness_us);
-    ("interference_us", t.interference_us);
-    ("coloring_us", t.coloring_us);
-    ("prefetch_us", t.prefetch_us);
-    ("dnnk_us", t.dnnk_us);
-    ("splitting_us", t.splitting_us);
-    ("segmentation_us", t.segmentation_us);
-    ("channel_assign_us", t.channel_assign_us);
-    ("schedule_us", t.schedule_us) ]
+let pass_index p = Option.get (List.find_index (( = ) p) passes)
 
-(* Process-wide cumulative per-pass wall clock, so long-running hosts
-   (the plan service's stats op) can attribute planner time without
-   tracking individual plans.  Worker domains plan concurrently. *)
+type pass_times = float array
+
+let fresh_pass_times () = Array.make (List.length passes) 0.
+let copy_pass_times = Array.copy
+let pass_us t p = t.(pass_index p)
+
+(* Process-wide cumulative per-pass time, so long-running hosts (the
+   plan service's stats op) can attribute planner time without tracking
+   individual plans.  Worker domains plan concurrently. *)
 let cumulative_mutex = Mutex.create ()
-let cumulative_pass_times = ref zero_pass_times
-
-let record_pass_times t =
-  Mutex.lock cumulative_mutex;
-  cumulative_pass_times := add_pass_times !cumulative_pass_times t;
-  Mutex.unlock cumulative_mutex
+let cumulative = fresh_pass_times ()
 
 let pass_times_total () =
-  Mutex.lock cumulative_mutex;
-  let t = !cumulative_pass_times in
-  Mutex.unlock cumulative_mutex;
-  t
+  Mutex.protect cumulative_mutex (fun () -> Array.copy cumulative)
 
 (* Microseconds on the monotonic clock (CLOCK_MONOTONIC): a wall-clock
    step cannot make a pass time negative or inflate it. *)
-let timed cell f =
+let timed ?into pass f =
   let t0 = Monotonic_clock.now () in
   let result = f () in
-  let ns = Int64.sub (Monotonic_clock.now ()) t0 in
-  cell := !cell +. (Int64.to_float ns *. 1e-3);
+  let us = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-3 in
+  let i = pass_index pass in
+  Option.iter (fun t -> t.(i) <- t.(i) +. us) into;
+  Mutex.protect cumulative_mutex (fun () ->
+      cumulative.(i) <- cumulative.(i) +. us);
   result
 
 type plan = {
@@ -223,13 +209,12 @@ let plan ?(options = default_options) ?(stall_scale = 1.) ?pool config g =
          | Metric.Feature_value _ -> None)
     |> List.sort_uniq compare
   in
-  let liveness_us = ref 0. and interference_us = ref 0. in
-  let coloring_us = ref 0. and prefetch_us = ref 0. in
-  let dnnk_us = ref 0. and splitting_us = ref 0. in
+  let pass_times = fresh_pass_times () in
+  let timed pass f = timed ~into:pass_times pass f in
   let pdg =
     if weight_targets = [] then None
     else
-      timed prefetch_us (fun () ->
+      timed Prefetch (fun () ->
           Some
             (Prefetch.build metric ~targets:weight_targets
                ~node_latency:(fun id -> Latency.umm_node_latency profiles.(id))))
@@ -238,7 +223,7 @@ let plan ?(options = default_options) ?(stall_scale = 1.) ?pool config g =
     match pdg with None -> None | Some p -> Prefetch.source_of p n
   in
   let intervals =
-    timed liveness_us (fun () ->
+    timed Liveness (fun () ->
         par_map pool (Liveness.item_interval g ~prefetch_source) items)
   in
   Log.info (fun m ->
@@ -246,11 +231,11 @@ let plan ?(options = default_options) ?(stall_scale = 1.) ?pool config g =
         (Array.length items)
         (List.length weight_targets));
   let interference =
-    timed interference_us (fun () ->
+    timed Interference (fun () ->
         Interference.build ~never_share_class ~items ~intervals ())
   in
   let vbufs =
-    timed coloring_us (fun () ->
+    timed Coloring (fun () ->
         if options.buffer_sharing then
           Coloring.color ~strategy:options.coloring interference ~sizes
         else
@@ -272,14 +257,14 @@ let plan ?(options = default_options) ?(stall_scale = 1.) ?pool config g =
         (float_of_int capacity_bytes /. 1e6));
   let workspace = Dnnk.workspace () in
   let initial =
-    timed dnnk_us (fun () ->
+    timed Dnnk (fun () ->
         Dnnk.allocate ~compensation:options.compensation ~workspace ?pool
           metric ~capacity_bytes vbufs)
   in
   let allocation, splitting_iterations, vbufs =
     if options.buffer_splitting && options.buffer_sharing then begin
       let outcome =
-        timed splitting_us (fun () ->
+        timed Splitting (fun () ->
             Splitting.run ~compensation:options.compensation
               ~strategy:options.coloring ~workspace ?pool metric interference
               ~sizes ~capacity_bytes initial)
@@ -390,27 +375,14 @@ let plan ?(options = default_options) ?(stall_scale = 1.) ?pool config g =
   (* Channel assignment (skipped entirely at 1 channel, where every
      stream trivially lands on channel 0 and the plan must stay
      byte-identical to the pre-channel planner). *)
-  let channel_assign_us = ref 0. in
   let channel_assignment =
     if options.channels <= 1 then None
     else
-      timed channel_assign_us (fun () ->
+      timed Channel_assign (fun () ->
           Some
             (Channels.assign ~channels:options.channels metric
                ~on_chip:allocation.Dnnk.on_chip))
   in
-  let pass_times =
-    { liveness_us = !liveness_us;
-      interference_us = !interference_us;
-      coloring_us = !coloring_us;
-      prefetch_us = !prefetch_us;
-      dnnk_us = !dnnk_us;
-      splitting_us = !splitting_us;
-      segmentation_us = 0.;
-      channel_assign_us = !channel_assign_us;
-      schedule_us = 0. }
-  in
-  record_pass_times pass_times;
   { config;
     options;
     metric;

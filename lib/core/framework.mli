@@ -38,37 +38,46 @@ val default_options : options
 (** Everything on, [Table_approx] compensation, [Min_growth] coloring —
     the paper's configuration. *)
 
-type pass_times = {
-  liveness_us : float;
-  interference_us : float;
-  coloring_us : float;
-  prefetch_us : float;
-  dnnk_us : float;
-  splitting_us : float;
-  segmentation_us : float;
-      (** The fusion segmentation pre-pass; 0 for base plans. *)
-  channel_assign_us : float;
-      (** The DDR channel-assignment pass; 0 at 1 channel. *)
-  schedule_us : float;
-      (** The runtime's DRAM schedule search; 0 for pure plans —
-          {!Lcmm_runtime} records it via {!record_pass_times}. *)
-}
-(** Per-pass microseconds on the monotonic clock for one planner run. *)
+type pass =
+  | Liveness
+  | Interference
+  | Coloring
+  | Prefetch        (** The PDG build (weight prefetching). *)
+  | Dnnk            (** The initial DNNK allocation. *)
+  | Splitting       (** Every splitting round, its DNNK re-runs included. *)
+  | Segmentation    (** The fusion post-pass ({!Lcmm_fusion.Fusion.apply}). *)
+  | Channel_assign  (** DDR channel assignment; never runs at 1 channel. *)
+  | Schedule        (** The runtime's DRAM schedule search. *)
+(** The timed compile-time passes.  Adding one means adding a
+    constructor here, to {!passes} and to {!pass_name}. *)
 
-val zero_pass_times : pass_times
-val add_pass_times : pass_times -> pass_times -> pass_times
+val passes : pass list
+(** Every pass, in report order ([--profile], the service stats op's
+    [pass_times_us], [BENCH_perf.json]'s [pass_us]). *)
 
-val record_pass_times : pass_times -> unit
-(** Fold one run's pass times into the process-wide cumulative clock —
-    {!plan} calls this itself; external passes (fusion segmentation)
-    call it to appear in {!pass_times_total}. *)
+val pass_name : pass -> string
+(** The stable report key, e.g. ["liveness_us"]. *)
 
-val pass_times_assoc : pass_times -> (string * float) list
-(** Stable field-name/value pairs, for reports and the service stats. *)
+type pass_times
+(** Microseconds per {!pass} on the monotonic clock, one cell each. *)
+
+val pass_us : pass_times -> pass -> float
+
+val copy_pass_times : pass_times -> pass_times
+(** A fresh table with the same cells: time a later pass into a copy,
+    never into a plan's own (possibly shared, cached) table. *)
+
+val timed : ?into:pass_times -> pass -> (unit -> 'a) -> 'a
+(** [timed ?into pass f] runs [f] and adds its monotonic-clock
+    microseconds to [pass]'s cell in the process-wide cumulative total
+    and, when given, in [into].  The one timer for every pass: {!plan}
+    times its own passes into the plan's table, the fusion post-pass
+    and the runtime time theirs through it too. *)
 
 val pass_times_total : unit -> pass_times
-(** Process-wide cumulative per-pass wall clock across every plan run so
-    far (all domains); the service's stats op reports it. *)
+(** A snapshot of the process-wide cumulative per-pass time across every
+    {!timed} call so far (all domains); the service's stats op reports
+    it. *)
 
 type plan = {
   config : Accel.Config.t;
@@ -83,7 +92,10 @@ type plan = {
   tensor_sram_bytes : int;         (** SRAM granted to tensor buffers. *)
   channel_assignment : Channels.assignment option;
       (** DDR channel map for every stream, when [options.channels > 1]. *)
-  pass_times : pass_times;         (** Monotonic-clock breakdown of this run. *)
+  pass_times : pass_times;
+      (** This run's pass times; 0 for every pass {!plan} does not run
+          ([Segmentation], [Schedule], and [Channel_assign] at 1 channel).
+          {!Lcmm_fusion.Fusion.effective_plan} adds [Segmentation]. *)
   dnnk_work : Dnnk.work;
       (** DNNK work counts over the initial allocation and every
           splitting re-run; machine-independent. *)

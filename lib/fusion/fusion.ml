@@ -31,7 +31,7 @@ type t = {
   traffic : Traffic.t;
   base_traffic : Traffic.t;
   peak_sram_bytes : int;
-  segmentation_us : float;
+  pass_times : F.pass_times;
 }
 
 let active t = t.segments <> [] || t.streamed <> []
@@ -39,7 +39,7 @@ let active t = t.segments <> [] || t.streamed <> []
 let ddr_bytes_saved t =
   Traffic.total_bytes t.base_traffic - Traffic.total_bytes t.traffic
 
-let inert ?(segmentation_us = 0.) options (base : F.plan) base_traffic =
+let inert ~pass_times options (base : F.plan) base_traffic =
   { base;
     options;
     segments = [];
@@ -51,106 +51,117 @@ let inert ?(segmentation_us = 0.) options (base : F.plan) base_traffic =
     traffic = base_traffic;
     base_traffic;
     peak_sram_bytes = base.F.tensor_sram_bytes;
-    segmentation_us }
+    pass_times }
+
+(* The pass's decisions — streamed weights, fused segments — and their
+   exact re-evaluation: everything [apply] times as [Segmentation]. *)
+let decide ?pool options (base : F.plan) =
+  let on_chip = base.F.allocation.Dnnk.on_chip in
+  let metric = base.F.metric in
+  let profiles = metric.Metric.profiles in
+  let n = Array.length profiles in
+  let capacity_bytes =
+    let budget = Config.sram_budget_bytes base.F.config in
+    match base.F.options.F.capacity_override with
+    | None -> budget
+    | Some cap -> min cap budget
+  in
+  let used = base.F.tensor_sram_bytes in
+  (* --- stream residency ------------------------------------------------
+     A spilled whole weight with tile reloads ([wt_term > wt_load_once])
+     streams: its channel occupancy and DDR bytes drop to one load per
+     inference.  Streaming one weight never slows any node and never
+     displaces a pinned tensor — the only charge is the shared FIFO,
+     paid once — so every candidate streams, provided the FIFO fits
+     beside the plan's resident tensors. *)
+  let is_streamed = Array.make n false in
+  let streamed, fifo_bytes =
+    if not options.streaming then ([], 0)
+    else begin
+      let cands = ref [] in
+      for i = n - 1 downto 0 do
+        let p = profiles.(i) in
+        if
+          metric.Metric.slices.(i) = 1
+          && p.Latency.wt_term > 0.
+          && p.Latency.wt_load_once < p.Latency.wt_term
+          && not (Metric.Item_set.mem (Metric.Weight_of i) on_chip)
+        then cands := i :: !cands
+      done;
+      let fifo = options.fifo_blocks * Dnnk.block_bytes in
+      if !cands = [] || used + fifo > capacity_bytes then ([], 0)
+      else begin
+        List.iter (fun i -> is_streamed.(i) <- true) !cands;
+        (!cands, fifo)
+      end
+    end
+  in
+  (* --- segmentation ---------------------------------------------------
+     Searched against the streamed metric (stream decisions change the
+     weight terms the segment pricing maximizes over) and the SRAM
+     headroom left after the resident tensors and the FIFO. *)
+  let streamed_metric =
+    if streamed = [] then metric
+    else Sim.Fused.effective_metric ~streamed:(fun i -> is_streamed.(i)) metric
+  in
+  let seg =
+    if not options.fusing then Segmentation.empty
+    else
+      Segmentation.search ?pool ~max_segment:options.max_segment
+        ~headroom_bytes:(capacity_bytes - used - fifo_bytes)
+        ~tile_th:base.F.config.Config.tile.Accel.Tiling.th
+        ~dtype:base.F.config.Config.dtype streamed_metric ~on_chip
+  in
+  let segments = seg.Segmentation.segments in
+  (* --- exact re-evaluation -------------------------------------------- *)
+  let scale = Array.make n 1.0 in
+  List.iter
+    (fun (s : Segmentation.segment) ->
+      List.iter (fun (m, f) -> scale.(m) <- f) s.Segmentation.scales)
+    segments;
+  let eff_metric =
+    if segments = [] && streamed = [] then metric
+    else
+      Sim.Fused.effective_metric
+        ~latc_scale:(fun i -> scale.(i))
+        ~streamed:(fun i -> is_streamed.(i))
+        metric
+  in
+  let eff_on_chip =
+    List.fold_left
+      (fun acc (s : Segmentation.segment) ->
+        List.fold_left
+          (fun acc v -> Metric.Item_set.add (Metric.Feature_value v) acc)
+          acc s.Segmentation.internal)
+      on_chip segments
+  in
+  let stalls =
+    base.F.predicted_latency -. base.F.allocation.Dnnk.predicted_latency
+  in
+  let fused_latency =
+    Metric.total_latency eff_metric ~on_chip:eff_on_chip +. stalls
+  in
+  (seg, streamed, fifo_bytes, eff_metric, eff_on_chip, fused_latency)
 
 let apply ?(options = default_options) ?pool (base : F.plan) =
   let on_chip = base.F.allocation.Dnnk.on_chip in
   let base_traffic = Traffic.of_allocation base.F.metric ~on_chip in
-  if not base.F.options.F.fusion then inert options base base_traffic
+  if not base.F.options.F.fusion then
+    inert ~pass_times:base.F.pass_times options base base_traffic
   else begin
-    let t0 = Unix.gettimeofday () in
-    let metric = base.F.metric in
-    let profiles = metric.Metric.profiles in
-    let n = Array.length profiles in
-    let capacity_bytes =
-      let budget = Config.sram_budget_bytes base.F.config in
-      match base.F.options.F.capacity_override with
-      | None -> budget
-      | Some cap -> min cap budget
-    in
-    let used = base.F.tensor_sram_bytes in
-    (* --- stream residency ------------------------------------------------
-       A spilled whole weight with tile reloads ([wt_term > wt_load_once])
-       streams: its channel occupancy and DDR bytes drop to one load per
-       inference.  Streaming one weight never slows any node and never
-       displaces a pinned tensor — the only charge is the shared FIFO,
-       paid once — so every candidate streams, provided the FIFO fits
-       beside the plan's resident tensors. *)
-    let is_streamed = Array.make n false in
-    let streamed, fifo_bytes =
-      if not options.streaming then ([], 0)
-      else begin
-        let cands = ref [] in
-        for i = n - 1 downto 0 do
-          let p = profiles.(i) in
-          if
-            metric.Metric.slices.(i) = 1
-            && p.Latency.wt_term > 0.
-            && p.Latency.wt_load_once < p.Latency.wt_term
-            && not (Metric.Item_set.mem (Metric.Weight_of i) on_chip)
-          then cands := i :: !cands
-        done;
-        let fifo = options.fifo_blocks * Dnnk.block_bytes in
-        if !cands = [] || used + fifo > capacity_bytes then ([], 0)
-        else begin
-          List.iter (fun i -> is_streamed.(i) <- true) !cands;
-          (!cands, fifo)
-        end
-      end
-    in
-    (* --- segmentation ---------------------------------------------------
-       Searched against the streamed metric (stream decisions change the
-       weight terms the segment pricing maximizes over) and the SRAM
-       headroom left after the resident tensors and the FIFO. *)
-    let streamed_metric =
-      if streamed = [] then metric
-      else Sim.Fused.effective_metric ~streamed:(fun i -> is_streamed.(i)) metric
-    in
-    let seg =
-      if not options.fusing then Segmentation.empty
-      else
-        Segmentation.search ?pool ~max_segment:options.max_segment
-          ~headroom_bytes:(capacity_bytes - used - fifo_bytes)
-          ~tile_th:base.F.config.Config.tile.Accel.Tiling.th
-          ~dtype:base.F.config.Config.dtype streamed_metric ~on_chip
+    let pass_times = F.copy_pass_times base.F.pass_times in
+    let seg, streamed, fifo_bytes, eff_metric, eff_on_chip, fused_latency =
+      F.timed ~into:pass_times F.Segmentation (fun () ->
+          decide ?pool options base)
     in
     let segments = seg.Segmentation.segments in
-    (* --- exact re-evaluation -------------------------------------------- *)
-    let scale = Array.make n 1.0 in
-    List.iter
-      (fun (s : Segmentation.segment) ->
-        List.iter (fun (m, f) -> scale.(m) <- f) s.Segmentation.scales)
-      segments;
-    let eff_metric =
-      if segments = [] && streamed = [] then metric
-      else
-        Sim.Fused.effective_metric
-          ~latc_scale:(fun i -> scale.(i))
-          ~streamed:(fun i -> is_streamed.(i))
-          metric
-    in
-    let eff_on_chip =
-      List.fold_left
-        (fun acc (s : Segmentation.segment) ->
-          List.fold_left
-            (fun acc v -> Metric.Item_set.add (Metric.Feature_value v) acc)
-            acc s.Segmentation.internal)
-        on_chip segments
-    in
-    let stalls =
-      base.F.predicted_latency -. base.F.allocation.Dnnk.predicted_latency
-    in
-    let fused_latency =
-      Metric.total_latency eff_metric ~on_chip:eff_on_chip +. stalls
-    in
-    let segmentation_us = (Unix.gettimeofday () -. t0) *. 1e6 in
-    F.record_pass_times { F.zero_pass_times with F.segmentation_us };
+    let used = base.F.tensor_sram_bytes in
     (* Safety net: the segment pricing and the effective-metric
        evaluation are the same arithmetic, so this cannot fire unless
        the two ever drift — in which case no decision beats a wrong
        one. *)
     if fused_latency > base.F.predicted_latency +. 1e-15 then
-      inert ~segmentation_us options base base_traffic
+      inert ~pass_times options base base_traffic
     else begin
       let traffic = Traffic.of_allocation eff_metric ~on_chip:eff_on_chip in
       let widest =
@@ -180,7 +191,7 @@ let apply ?(options = default_options) ?pool (base : F.plan) =
         traffic;
         base_traffic;
         peak_sram_bytes = used + fifo_bytes + widest;
-        segmentation_us }
+        pass_times }
     end
   end
 
@@ -196,8 +207,7 @@ let effective_plan t =
             Metric.total_latency t.metric ~on_chip:t.on_chip };
       predicted_latency = t.predicted_latency;
       tensor_sram_bytes = t.peak_sram_bytes;
-      pass_times =
-        { t.base.F.pass_times with F.segmentation_us = t.segmentation_us } }
+      pass_times = t.pass_times }
 
 let fingerprint t =
   let b = Buffer.create 1024 in

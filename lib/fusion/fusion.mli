@@ -47,23 +47,27 @@ type t = {
   base_traffic : Lcmm.Traffic.t;  (** DDR bytes of the base plan. *)
   peak_sram_bytes : int;
       (** Base tensor grant + FIFO + widest segment's slabs. *)
-  segmentation_us : float;
+  pass_times : Lcmm.Framework.pass_times;
+      (** The base plan's pass times plus this pass's, under
+          [Segmentation]; physically the base plan's table when fusion
+          is off. *)
 }
 
 val apply : ?options:options -> ?pool:Lcmm.Pool.t -> Lcmm.Framework.plan -> t
 (** Run the pass.  Inert unless [base.options.fusion]; never returns a
     plan slower than the base (a safety net drops every decision if the
     exact re-evaluation ever disagreed with the search's pricing).
-    Records its wall clock as [segmentation_us] in
-    {!Lcmm.Framework.pass_times_total}. *)
+    Times its search and exact re-evaluation with
+    {!Lcmm.Framework.timed} as the [Segmentation] pass, into
+    [pass_times] and the process-wide {!Lcmm.Framework.pass_times_total}. *)
 
 val active : t -> bool
 (** True when the pass decided anything (a segment or a stream). *)
 
 val effective_plan : t -> Lcmm.Framework.plan
 (** The plan every existing evaluator can consume: effective metric,
-    extended allocation, fused latency, peak SRAM, and pass times
-    including [segmentation_us].  Physically the base plan when
+    extended allocation, fused latency, peak SRAM, and [pass_times]
+    (segmentation time included).  Physically the base plan when
     {!active} is false — fusion-off output stays byte-identical. *)
 
 val fingerprint : t -> string

@@ -10,9 +10,10 @@
     rate [r] takes [1/r] times its isolated duration.
 
     The pre-channel aggregate model is exactly the 1-channel special
-    case: with one channel the stripe is the whole bandwidth and the
-    engine makes a single arbitration call over all pending transfers,
-    so every 1-channel run is float-for-float the old fluid-bus run. *)
+    case: with one channel the engine's single channel group holds every
+    pending transfer in arrival order and its stripe scales rates by
+    exactly 1.0, so every 1-channel run is float-for-float the old
+    fluid-bus run. *)
 
 type t =
   | Fair_share  (** Every active transfer gets an equal bandwidth share. *)

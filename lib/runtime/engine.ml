@@ -195,16 +195,14 @@ let init_tenant index (input : tenant_input) =
 let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
   let channels = max 1 channels in
   (* Channel of a transfer: the assignment callback's pick, clamped;
-     everything lands on channel 0 when unassigned or single-channel —
+     everything lands on channel 0 when unassigned — at one channel,
      the aggregate fluid-bus model. *)
   let channel_of ~owner ~target kind =
-    if channels = 1 then 0
-    else
-      match assign with
-      | None -> 0
-      | Some f ->
-        let c = f ~owner ~target kind in
-        if c < 0 || c >= channels then 0 else c
+    match assign with
+    | None -> 0
+    | Some f ->
+      let c = f ~owner ~target kind in
+      if c < 0 || c >= channels then 0 else c
   in
   let rank_of ~owner ~target kind =
     match rank with None -> 0. | Some f -> f ~owner ~target kind
@@ -534,8 +532,8 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
   (* Scheduler picks the eligible subset per DDR channel, the arbiter
      splits that channel's bandwidth stripe over it; everything else is
      preempted (rate 0, channel still held).  With one channel the
-     grouping collapses to a single call over all pending transfers —
-     float for float the pre-channel aggregate bus. *)
+     grouping keeps arrival order and the stripe is 1.0, so the single
+     group's calls are float for float the pre-channel aggregate bus. *)
   let assign_rates () =
     let jobs = on_chip_jobs () in
     (* Stalled / backing-off transfers hold their channel but are not
@@ -547,63 +545,33 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
       { Scheduler.key = x.key; deadline = x.deadline;
         priority = inputs.(x.owner).priority; rank = x.xrank }
     in
-    let chosen =
-      if channels = 1 then
-        Scheduler.eligible scheduler (List.map pending_of eligible_jobs)
-      else begin
-        (* Group by channel preserving arrival order, schedule each
-           channel independently. *)
-        let by_ch = Array.make channels [] in
-        List.iter
-          (fun x -> by_ch.(x.channel) <- x :: by_ch.(x.channel))
-          eligible_jobs;
-        let acc = ref [] in
-        for c = channels - 1 downto 0 do
-          match by_ch.(c) with
-          | [] -> ()
-          | js ->
-            let ps = List.rev_map pending_of js in
-            acc := Scheduler.eligible scheduler ps @ !acc
-        done;
-        !acc
-      end
-    in
     (* Membership and rate lookups go through key-indexed tables instead
        of [List.mem]/[List.assoc_opt]; entries are cleared again at the
        end of the round so stale keys always read as not-chosen/0. *)
-    let ctbl = !chosen_tbl in
-    List.iter (fun k -> ctbl.(k) <- true) chosen;
-    let contenders =
-      List.filter_map
-        (fun x ->
-          if ctbl.(x.key) then Some (x.key, inputs.(x.owner).priority)
-          else None)
-        eligible_jobs
-    in
-    let rtbl = !rate_tbl in
-    (if channels = 1 then Arbiter.rates_into arbitration contenders rtbl
-     else begin
-       (* Arbitrate each channel's contenders separately, then scale by
-          the channel's 1/C bandwidth stripe: rates stay fractions of
-          the full aggregate bandwidth, so downstream ETA math is
-          untouched. *)
-       let by_ch = Array.make channels [] in
-       List.iter
-         (fun x -> if ctbl.(x.key) then by_ch.(x.channel) <- x :: by_ch.(x.channel))
-         eligible_jobs;
-       let stripe = 1. /. float_of_int channels in
-       Array.iter
-         (fun js ->
-           match js with
-           | [] -> ()
-           | _ ->
-             let cs =
-               List.rev_map (fun x -> (x.key, inputs.(x.owner).priority)) js
-             in
-             Arbiter.rates_into arbitration cs rtbl;
-             List.iter (fun (k, _) -> rtbl.(k) <- rtbl.(k) *. stripe) cs)
-         by_ch
-     end);
+    let ctbl = !chosen_tbl and rtbl = !rate_tbl in
+    (* Each channel on its own, its transfers in arrival order: the
+       scheduler picks among them, the arbiter splits the channel's grant
+       over the picks, and the grant is the channel's 1/C stripe — rates
+       stay fractions of the full aggregate bandwidth, so downstream ETA
+       math is untouched. *)
+    let stripe = 1. /. float_of_int channels in
+    for c = 0 to channels - 1 do
+      match List.filter (fun x -> x.channel = c) eligible_jobs with
+      | [] -> ()
+      | js ->
+        List.iter
+          (fun k -> ctbl.(k) <- true)
+          (Scheduler.eligible scheduler (List.map pending_of js));
+        let cs =
+          List.filter_map
+            (fun x ->
+              if ctbl.(x.key) then Some (x.key, inputs.(x.owner).priority)
+              else None)
+            js
+        in
+        Arbiter.rates_into arbitration cs rtbl;
+        List.iter (fun (k, _) -> rtbl.(k) <- rtbl.(k) *. stripe) cs
+    done;
     (* A DDR droop window scales every granted rate; multiplying by the
        1.0 no-fault factor is skipped outright so the fault-free float
        path stays bit-identical. *)
@@ -632,8 +600,11 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
           dirty.(x.owner) <- true
         end)
       jobs;
-    List.iter (fun k -> ctbl.(k) <- false) chosen;
-    List.iter (fun (k, _) -> rtbl.(k) <- 0.) contenders
+    List.iter
+      (fun x ->
+        ctbl.(x.key) <- false;
+        rtbl.(x.key) <- 0.)
+      eligible_jobs
   in
   let complete_due () =
     Array.fold_left

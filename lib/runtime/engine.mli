@@ -14,9 +14,10 @@
     therefore become exposed stalls under contention — the paper's
     data-transfer bottleneck reappearing between tenants.
 
-    With [channels = 1] (the default) the grouping collapses to one
-    scheduler/arbiter call over all pending transfers: the pre-channel
-    aggregate fluid-bus model, float for float.  With a single tenant
+    With [channels = 1] (the default) there is one channel group, holding
+    every pending transfer in arrival order, and its stripe is the whole
+    bandwidth ([r *. 1.0 = r]): the one scheduler/arbiter call is the
+    pre-channel aggregate fluid-bus model, float for float.  With a single tenant
     there is additionally never more than one transfer on the bus, every
     rate is 1, and the co-simulation reproduces the isolated engine bit
     for bit (pinned by test/test_runtime.ml across the model zoo).

@@ -245,14 +245,6 @@ let run ?pool options specs =
     decisions;
   let admitted = Array.of_list (List.rev !admitted) in
   let channels = max 1 options.channels in
-  let channel_assign_us = ref 0. in
-  let schedule_us = ref 0. in
-  let timed cell f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    cell := !cell +. ((Unix.gettimeofday () -. t0) *. 1e6);
-    r
-  in
   (* Static channel map per admitted tenant: the plan's own assignment
      when the planner already ran the pass at this width, else computed
      here.  [None] at one channel keeps the engine on the aggregate
@@ -261,7 +253,7 @@ let run ?pool options specs =
     if channels <= 1 then None
     else begin
       let assignments =
-        timed channel_assign_us (fun () ->
+        F.timed F.Channel_assign (fun () ->
             Array.map
               (fun (_, _, (plan : F.plan), _) ->
                 match plan.F.channel_assignment with
@@ -336,7 +328,7 @@ let run ?pool options specs =
          expensive, shifting the prune and the UMM safety net), replan,
          and search again — bounded rounds, keeping the best round. *)
       let search plans =
-        timed schedule_us (fun () ->
+        F.timed F.Schedule (fun () ->
             Optimizer.search ?pool
               ~hp_first:(options.arbitration = Arbiter.Priority)
               ~arbitration:options.arbitration ~channels
@@ -457,13 +449,6 @@ let run ?pool options specs =
       in
       (outcome.Optimizer.result, final_plans, schedule)
   in
-  if !schedule_us > 0. || !channel_assign_us > 0. then
-    F.record_pass_times
-      {
-        F.zero_pass_times with
-        F.schedule_us = !schedule_us;
-        channel_assign_us = !channel_assign_us;
-      };
   let run_of = Hashtbl.create 8 in
   Array.iteri
     (fun k (i, grant, plan, iso) ->

@@ -375,11 +375,13 @@ let stats_payload t =
       (* Cumulative planner pass times (process-wide, microseconds)
          across every plan compiled so far, cache misses included. *)
       ( "pass_times_us",
+        let total = Lcmm.Framework.pass_times_total () in
         Json.Obj
           (List.map
-             (fun (k, v) -> (k, Json.Float v))
-             (Lcmm.Framework.pass_times_assoc
-                (Lcmm.Framework.pass_times_total ()))) ) ]
+             (fun p ->
+               ( Lcmm.Framework.pass_name p,
+                 Json.Float (Lcmm.Framework.pass_us total p) ))
+             Lcmm.Framework.passes) ) ]
 
 (* --- request execution --- *)
 

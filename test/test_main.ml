@@ -35,4 +35,5 @@ let () =
       ("runtime", Test_runtime.suite);
       ("fault", Test_fault.suite);
       ("fusion", Test_fusion.suite);
+      ("pass-times", Test_pass_times.suite);
       ("check", Test_check.suite) ]
