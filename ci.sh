@@ -193,6 +193,26 @@ dune exec bin/lcmm_cli.exe -- runtime --tenants alexnet:2,vgg16:1 --seed 7 \
   --json _build/runtime_multi_edf.json > /dev/null
 golden_diff test/golden/runtime_multi_edf.golden.json \
   _build/runtime_multi_edf.json
+# The engine paths the goldens above leave out: the optimized search
+# under priority arbitration and at 4 channels, every fault kind, retry
+# exhaustion and an injected abort.
+golden_runtime() {
+  name=$1; shift
+  dune exec bin/lcmm_cli.exe -- runtime "$@" --json "_build/$name.json" \
+    > /dev/null
+  golden_diff "test/golden/$name.golden.json" "_build/$name.json"
+}
+golden_runtime runtime_opt_priority --tenants resnet50:1,vgg16:2 \
+  --scheduler optimized --arbitration priority
+golden_runtime runtime_opt_channels4 --tenants googlenet:1,vgg16:1 \
+  --scheduler optimized --channels 4
+golden_runtime runtime_opt_faults --tenants googlenet:2,alexnet:1 \
+  --scheduler optimized \
+  --faults seed=3,stall:0.2:0.5,fail:0.1,retries=3,droop@1:5:0.5,bankloss@4:2m:1
+golden_runtime runtime_retry_abort --tenants googlenet:2 \
+  --faults seed=5,fail:1,retries=2
+golden_runtime runtime_injected_abort --tenants alexnet:2 \
+  --faults abort@1:0
 
 echo "== tier-2: optimized schedule search converges across the zoo =="
 # Two replicas of every zoo model: the plan/schedule co-iteration must

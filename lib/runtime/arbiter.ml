@@ -9,38 +9,15 @@ let of_string = function
 
 let all = [ Fair_share; Priority ]
 
-let rates t jobs =
-  match jobs with
-  | [] -> []
-  | _ -> (
+let rates_into t ~keys ~priorities n rates =
+  if n > 0 then
     match t with
-    | Fair_share ->
-      let share = 1. /. float_of_int (List.length jobs) in
-      List.map (fun (key, _) -> (key, share)) jobs
+    | Fair_share -> Array.fill rates 0 n (1. /. float_of_int n)
     | Priority ->
-      let best_key, _ =
-        List.fold_left
-          (fun (bk, bp) (k, p) ->
-            if p < bp || (p = bp && k < bk) then (k, p) else (bk, bp))
-          (List.hd jobs) (List.tl jobs)
-      in
-      List.map (fun (key, _) -> (key, if key = best_key then 1. else 0.)) jobs)
-
-let rates_into t jobs table =
-  match jobs with
-  | [] -> ()
-  | _ -> (
-    match t with
-    | Fair_share ->
-      let share = 1. /. float_of_int (List.length jobs) in
-      List.iter (fun (key, _) -> table.(key) <- share) jobs
-    | Priority ->
-      let best_key, _ =
-        List.fold_left
-          (fun (bk, bp) (k, p) ->
-            if p < bp || (p = bp && k < bk) then (k, p) else (bk, bp))
-          (List.hd jobs) (List.tl jobs)
-      in
-      List.iter
-        (fun (key, _) -> table.(key) <- (if key = best_key then 1. else 0.))
-        jobs)
+      let best = ref 0 in
+      for i = 1 to n - 1 do
+        let p = priorities.(i) and bp = priorities.(!best) in
+        if p < bp || (p = bp && keys.(i) < keys.(!best)) then best := i
+      done;
+      Array.fill rates 0 n 0.;
+      rates.(!best) <- 1.

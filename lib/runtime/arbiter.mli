@@ -30,14 +30,12 @@ val of_string : string -> t option
 
 val all : t list
 
-val rates : t -> (int * int) list -> (int * float) list
-(** [rates t jobs] assigns a bandwidth fraction to each [(job_key,
-    priority)] contender.  The fractions sum to 1 when [jobs] is
-    non-empty (the bus is work-conserving); the empty list maps to the
-    empty list. *)
-
-val rates_into : t -> (int * int) list -> float array -> unit
-(** [rates_into t jobs table] writes the same fractions as {!rates}
-    straight into [table] at each contender's key — the engine's
-    O(1)-lookup path.  Only contender entries are written; the caller
-    owns zeroing them between rounds. *)
+val rates_into :
+  t -> keys:int array -> priorities:int array -> int -> float array -> unit
+(** [rates_into t ~keys ~priorities n rates] assigns a bandwidth
+    fraction to each of the [n] contenders at positions [0 .. n-1] —
+    contender [i] is transfer [keys.(i)] of a tenant with priority
+    [priorities.(i)] — and writes it to [rates.(i)].  The fractions sum
+    to 1 when [n > 0] (the bus is work-conserving); [n = 0] writes
+    nothing.  The engine reuses all three arrays from round to round,
+    so the call allocates nothing. *)

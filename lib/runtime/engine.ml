@@ -68,6 +68,22 @@ type xfer_log = {
   log_finished : float;       (* finish instant; -1 if cancelled/aborted *)
 }
 
+type work = {
+  instants : int;
+  rounds : int;
+  rate_assignments : int;
+  transfers_created : int;
+}
+
+let no_work =
+  { instants = 0; rounds = 0; rate_assignments = 0; transfers_created = 0 }
+
+let add_work a b =
+  { instants = a.instants + b.instants;
+    rounds = a.rounds + b.rounds;
+    rate_assignments = a.rate_assignments + b.rate_assignments;
+    transfers_created = a.transfers_created + b.transfers_created }
+
 type result = {
   tenants : tenant_run array;
   makespan : float;
@@ -75,6 +91,7 @@ type result = {
   channels : int;
   channel_timelines : segment list array;
   transfers : xfer_log list;
+  work : work;
 }
 
 type xfer = {
@@ -83,12 +100,11 @@ type xfer = {
   target : int;
   kind : kind;
   channel : int;           (* DDR channel the transfer is bound to *)
-  xrank : float;           (* searched-order rank (Optimized); 0 otherwise *)
+  pending : Scheduler.pending; (* what the scheduler ranks it by *)
   load : float;            (* seconds at full bandwidth *)
   bytes : float;
   released_at : float;
   mutable started_at : float; (* first instant with positive rate; -1 = never *)
-  deadline : float;
   stall : float;           (* injected head-of-channel stall; 0 = none *)
   fails : int;             (* planned transient failures before success *)
   mutable attempt : int;   (* failures consumed so far *)
@@ -113,7 +129,9 @@ type exec = {
 
 type stage =
   | Entering           (* release node [next]'s transfers at [clock] *)
-  | Awaiting of int    (* waiting for the node's weight transfers *)
+  | Awaiting of { id : int; pinned : bool }
+      (* waiting for the node's weight transfers; [pinned]: whether the
+         current plan pins any share of its weights *)
   | Executing of exec
   | Finished
 
@@ -153,6 +171,18 @@ type tstate = {
 let fraction ts id = NM.pinned_fraction ts.input.metric ~on_chip:ts.cur_on_chip id
 
 let pinned ts id = NM.pinned_weight ts.input.metric ~on_chip:ts.cur_on_chip id
+
+(* Eq. 1 for an executing node whose streamed weights (if any) are in:
+   the weight component is the stream's finish past the node's start. *)
+let exec_duration ts e =
+  let wt_component =
+    match e.exec_stream with
+    | None -> 0.
+    | Some x -> x.finished_at -. e.exec_start
+  in
+  let p = ts.profiles.(e.exec_id) in
+  NM.duration_and_binding ~latc:p.Latency.latc ~if_time:e.exec_if
+    ~wt_component ~of_time:e.exec_of
 
 let init_tenant index (input : tenant_input) =
   let profiles = input.metric.Metric.profiles in
@@ -208,38 +238,22 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
     match rank with None -> 0. | Some f -> f ~owner ~target kind
   in
   let tenants = Array.mapi init_tenant inputs in
+  let ntenants = Array.length tenants in
   (* Tenants whose wake-up candidates may have changed since the last
      heap flush.  Every mutation that can move a candidate time sets the
      owner's flag; [flush_dirty] re-pushes candidates before each
      [next_event], so the heap always holds every live candidate. *)
-  let dirty = Array.make (Array.length tenants) true in
+  let dirty = Array.make ntenants true in
   let heap = EQ.create () in
   let key_counter = ref 0 in
-  (* Per-key bandwidth state, indexed by transfer key.  Entries are only
-     non-default inside one [assign_rates] round (set, read, cleared),
-     so lookups that used to be [List.assoc_opt] are O(1). *)
-  let rate_tbl = ref (Array.make 1024 0.) in
-  let chosen_tbl = ref (Array.make 1024 false) in
-  let fresh_key () =
-    incr key_counter;
-    let k = !key_counter in
-    if k >= Array.length !rate_tbl then begin
-      let n = 2 * Array.length !rate_tbl in
-      let r = Array.make n 0. in
-      Array.blit !rate_tbl 0 r 0 (Array.length !rate_tbl);
-      rate_tbl := r;
-      let c = Array.make n false in
-      Array.blit !chosen_tbl 0 c 0 (Array.length !chosen_tbl);
-      chosen_tbl := c
-    end;
-    k
-  in
+  let instants = ref 0 and rounds = ref 0 and rate_assignments = ref 0 in
   let now = ref 0. in
   let segments = ref [] in
   let channel_segments = Array.make channels [] in
   let all_xfers = ref [] in
   let enqueue ts ~kind ~target ~load ~bytes ~deadline =
-    let key = fresh_key () in
+    incr key_counter;
+    let key = !key_counter in
     let stall, fails =
       match faults with
       | None -> (0., 0)
@@ -250,9 +264,11 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
     let x =
       { key; owner = ts.index; target; kind;
         channel = channel_of ~owner:ts.index ~target kind;
-        xrank = rank_of ~owner:ts.index ~target kind;
+        pending =
+          { Scheduler.key; deadline; priority = ts.input.priority;
+            rank = rank_of ~owner:ts.index ~target kind };
         load; bytes; released_at = !now; started_at = -1.;
-        deadline; stall; fails; attempt = 0; blocked_until = 0.;
+        stall; fails; attempt = 0; blocked_until = 0.;
         work = load; rate = 0.; settled = 0.; eta = infinity;
         finished = false; finished_at = 0. }
     in
@@ -265,23 +281,25 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
   in
   (* Move queue heads onto the (per-tenant serial) channel. *)
   let start_jobs () =
-    Array.fold_left
-      (fun changed ts ->
-        if ts.current = None && not (Queue.is_empty ts.queue) then begin
-          let x = Queue.pop ts.queue in
-          x.settled <- !now;
-          if x.stall > 0. then begin
-            (* Injected head-of-channel stall: the transfer holds the
-               channel but is ineligible until the stall passes. *)
-            x.blocked_until <- !now +. x.stall;
-            ts.stall_events <- ts.stall_events + 1
-          end;
-          ts.current <- Some x;
-          dirty.(ts.index) <- true;
-          true
-        end
-        else changed)
-      false tenants
+    let changed = ref false in
+    for i = 0 to ntenants - 1 do
+      let ts = tenants.(i) in
+      match ts.current with
+      | None when not (Queue.is_empty ts.queue) ->
+        let x = Queue.pop ts.queue in
+        x.settled <- !now;
+        if x.stall > 0. then begin
+          (* Injected head-of-channel stall: the transfer holds the
+             channel but is ineligible until the stall passes. *)
+          x.blocked_until <- !now +. x.stall;
+          ts.stall_events <- ts.stall_events + 1
+        end;
+        ts.current <- Some x;
+        dirty.(i) <- true;
+        changed := true
+      | _ -> ()
+    done;
+    !changed
   in
   (* One zero-time step of a tenant's node state machine; returns whether
      it made progress.  The arithmetic below mirrors Sim.Engine.simulate
@@ -319,11 +337,10 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
                ~bytes:(float_of_int ts.profiles.(id).Latency.wt_once_bytes
                       *. fraction ts id)
                ~deadline:ts.clock));
-        ts.stage <- Awaiting id;
+        ts.stage <- Awaiting { id; pinned = pinned ts id };
         true
       end
-    | Awaiting id ->
-      let is_pinned = pinned ts id in
+    | Awaiting { id; pinned = is_pinned } ->
       if is_pinned && ts.pending_w.(id) > 0 then false
       else begin
         let ready = if is_pinned then ts.weight_ready.(id) else 0. in
@@ -332,6 +349,9 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
         else begin
           let wait = start -. ts.clock in
           ts.prefetch_wait <- ts.prefetch_wait +. wait;
+          (* The node's stall before it starts, as the isolated engine
+             records it; the finish write below keeps it. *)
+          ts.timings.(id) <- { ts.timings.(id) with Sim.Engine.wait };
           let p = ts.profiles.(id) in
           let on_chip = ts.cur_on_chip in
           let if_t = NM.if_time ~on_chip p in
@@ -357,19 +377,11 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
       match e.exec_stream with
       | Some x when not x.finished -> false
       | _ ->
-        let wt_component =
-          match e.exec_stream with
-          | None -> 0.
-          | Some x -> x.finished_at -. e.exec_start
-        in
-        let p = ts.profiles.(e.exec_id) in
-        let binding, duration =
-          NM.duration_and_binding ~latc:p.Latency.latc ~if_time:e.exec_if
-            ~wt_component ~of_time:e.exec_of
-        in
+        let binding, duration = exec_duration ts e in
         let finish = e.exec_start +. duration in
         if finish > !now then false
         else begin
+          let p = ts.profiles.(e.exec_id) in
           let on_chip = ts.cur_on_chip in
           ts.timings.(e.exec_id) <-
             { Sim.Engine.node_id = e.exec_id; start = e.exec_start; finish;
@@ -383,27 +395,6 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
           ts.stage <- Entering;
           true
         end)
-  in
-  (* Record the stall of a node before it starts (matching the isolated
-     engine's [wait] field): stash it when the Awaiting stage resolves.
-     The timings write above preserves it. *)
-  let note_wait ts id wait =
-    ts.timings.(id) <- { ts.timings.(id) with Sim.Engine.wait }
-  in
-  (* Wire note_wait into the Awaiting transition without duplicating the
-     stage logic: wrap progress. *)
-  let progress ts =
-    match ts.stage with
-    | Awaiting id ->
-      let before_clock = ts.clock in
-      let changed = progress ts in
-      (if changed then
-         match ts.stage with
-         | Executing e when e.exec_id = id ->
-           note_wait ts id (e.exec_start -. before_clock)
-         | _ -> ());
-      changed
-    | _ -> progress ts
   in
   (* Hard tenant abort: drop every queued and in-flight transfer, pin
      the clock at the abort instant and finish the tenant.  Executed
@@ -456,7 +447,7 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
         (* A tenant caught between release and execution re-enters its
            node: the weights it was waiting for were just cancelled. *)
         (match ts.stage with
-        | Awaiting id ->
+        | Awaiting { id; _ } ->
           ts.stage <- Entering;
           ts.next <- id;
           ts.clock <- Float.max ts.clock !now
@@ -493,62 +484,68 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
       | None -> []
       | Some inj -> Fault.Injector.events inj)
   in
-  let fire_due_events () =
-    let fired = ref false in
-    let rec loop () =
-      match !pending_events with
-      | ev :: rest when Fault.Injector.event_time ev <= !now ->
-        pending_events := rest;
-        fired := true;
-        (match ev with
-        | Fault.Injector.Bank_loss { tenant; bytes; _ } ->
-          if tenant >= 0 && tenant < Array.length tenants then begin
-            let ts = tenants.(tenant) in
-            if ts.stage <> Finished then begin
-              ts.lost_bytes <- ts.lost_bytes + bytes;
-              degrade ts
-            end
+  let rec fire_due_events () =
+    match !pending_events with
+    | ev :: rest when Fault.Injector.event_time ev <= !now ->
+      pending_events := rest;
+      (match ev with
+      | Fault.Injector.Bank_loss { tenant; bytes; _ } ->
+        if tenant >= 0 && tenant < ntenants then begin
+          let ts = tenants.(tenant) in
+          if ts.stage <> Finished then begin
+            ts.lost_bytes <- ts.lost_bytes + bytes;
+            degrade ts
           end
-        | Fault.Injector.Abort { tenant; at } ->
-          if tenant >= 0 && tenant < Array.length tenants then begin
-            let ts = tenants.(tenant) in
-            if ts.stage <> Finished then
-              abort ts
-                (Printf.sprintf "injected abort at %.3f ms" (at *. 1e3))
-          end);
-        loop ()
+        end
+      | Fault.Injector.Abort { tenant; at } ->
+        if tenant >= 0 && tenant < ntenants then begin
+          let ts = tenants.(tenant) in
+          if ts.stage <> Finished then
+            abort ts
+              (Printf.sprintf "injected abort at %.3f ms" (at *. 1e3))
+        end);
+      ignore (fire_due_events ());
+      true
+    | _ -> false
+  in
+  (* Per-round scratch, reused so a settle round allocates nothing.  A
+     tenant has at most one transfer on the channel, so [ntenants] bounds
+     every group.  [jobs.(0 .. njobs-1)] are the on-chip transfers in
+     tenant order, [rate.(j)] the rate [assign_rates] grants [jobs.(j)]. *)
+  let jobs = Array.make ntenants None in
+  let njobs = ref 0 in
+  let collect_jobs () =
+    njobs := 0;
+    for i = 0 to ntenants - 1 do
+      match tenants.(i).current with
+      | Some x as job when not x.finished ->
+        jobs.(!njobs) <- job;
+        incr njobs
       | _ -> ()
-    in
-    loop ();
-    !fired
+    done
   in
-  let on_chip_jobs () =
-    Array.to_list tenants
-    |> List.filter_map (fun ts ->
-           match ts.current with
-           | Some x when not x.finished -> Some x
-           | _ -> None)
+  let job j = match jobs.(j) with Some x -> x | None -> assert false in
+  let rate = Array.make ntenants 0. in
+  let group = Array.make ntenants 0 in
+  let ready =
+    Array.make ntenants
+      { Scheduler.key = 0; deadline = 0.; priority = 0; rank = 0. }
   in
+  let chosen = Array.make ntenants false in
+  let contender = Array.make ntenants 0 in
+  let keys = Array.make ntenants 0 in
+  let priorities = Array.make ntenants 0 in
+  let shares = Array.make ntenants 0. in
   (* Scheduler picks the eligible subset per DDR channel, the arbiter
      splits that channel's bandwidth stripe over it; everything else is
      preempted (rate 0, channel still held).  With one channel the
      grouping keeps arrival order and the stripe is 1.0, so the single
      group's calls are float for float the pre-channel aggregate bus. *)
   let assign_rates () =
-    let jobs = on_chip_jobs () in
-    (* Stalled / backing-off transfers hold their channel but are not
-       eligible for bandwidth until the block passes. *)
-    let eligible_jobs =
-      List.filter (fun x -> x.blocked_until <= !now) jobs
-    in
-    let pending_of x =
-      { Scheduler.key = x.key; deadline = x.deadline;
-        priority = inputs.(x.owner).priority; rank = x.xrank }
-    in
-    (* Membership and rate lookups go through key-indexed tables instead
-       of [List.mem]/[List.assoc_opt]; entries are cleared again at the
-       end of the round so stale keys always read as not-chosen/0. *)
-    let ctbl = !chosen_tbl and rtbl = !rate_tbl in
+    incr rate_assignments;
+    collect_jobs ();
+    let n = !njobs in
+    Array.fill rate 0 n 0.;
     (* Each channel on its own, its transfers in arrival order: the
        scheduler picks among them, the arbiter splits the channel's grant
        over the picks, and the grant is the channel's 1/C stripe — rates
@@ -556,21 +553,34 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
        math is untouched. *)
     let stripe = 1. /. float_of_int channels in
     for c = 0 to channels - 1 do
-      match List.filter (fun x -> x.channel = c) eligible_jobs with
-      | [] -> ()
-      | js ->
-        List.iter
-          (fun k -> ctbl.(k) <- true)
-          (Scheduler.eligible scheduler (List.map pending_of js));
-        let cs =
-          List.filter_map
-            (fun x ->
-              if ctbl.(x.key) then Some (x.key, inputs.(x.owner).priority)
-              else None)
-            js
-        in
-        Arbiter.rates_into arbitration cs rtbl;
-        List.iter (fun (k, _) -> rtbl.(k) <- rtbl.(k) *. stripe) cs
+      (* Stalled / backing-off transfers hold their channel but are not
+         eligible for bandwidth until the block passes. *)
+      let g = ref 0 in
+      for j = 0 to n - 1 do
+        let x = job j in
+        if x.channel = c && x.blocked_until <= !now then begin
+          group.(!g) <- j;
+          ready.(!g) <- x.pending;
+          incr g
+        end
+      done;
+      if !g > 0 then begin
+        Scheduler.eligible_into scheduler ready !g chosen;
+        let k = ref 0 in
+        for i = 0 to !g - 1 do
+          if chosen.(i) then begin
+            let p = ready.(i) in
+            contender.(!k) <- group.(i);
+            keys.(!k) <- p.Scheduler.key;
+            priorities.(!k) <- p.Scheduler.priority;
+            incr k
+          end
+        done;
+        Arbiter.rates_into arbitration ~keys ~priorities !k shares;
+        for i = 0 to !k - 1 do
+          rate.(contender.(i)) <- shares.(i) *. stripe
+        done
+      end
     done;
     (* A DDR droop window scales every granted rate; multiplying by the
        1.0 no-fault factor is skipped outright so the fault-free float
@@ -580,106 +590,123 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
       | None -> 1.
       | Some inj -> Fault.Injector.droop_factor inj ~now:!now
     in
-    List.iter
-      (fun x ->
-        let r = rtbl.(x.key) in
-        let r = if factor = 1. then r else r *. factor in
-        if r <> x.rate then begin
-          (* Settle the work done at the old rate before switching; a
-             transfer whose rate never changes keeps its exact
-             [settled + work/rate] finish time, which single-tenant
-             exactness depends on. *)
-          x.work <- x.work -. ((!now -. x.settled) *. x.rate);
-          if x.work < 0. then x.work <- 0.;
-          x.settled <- !now;
-          x.rate <- r;
-          if r > 0. && x.started_at < 0. then x.started_at <- !now;
-          x.eta <-
-            (if r > 0. then (if x.work <= 0. then !now else !now +. (x.work /. r))
-             else infinity);
-          dirty.(x.owner) <- true
-        end)
-      jobs;
-    List.iter
-      (fun x ->
-        ctbl.(x.key) <- false;
-        rtbl.(x.key) <- 0.)
-      eligible_jobs
+    for j = 0 to n - 1 do
+      let x = job j in
+      let r = rate.(j) in
+      let r = if factor = 1. then r else r *. factor in
+      if r <> x.rate then begin
+        (* Settle the work done at the old rate before switching; a
+           transfer whose rate never changes keeps its exact
+           [settled + work/rate] finish time, which single-tenant
+           exactness depends on. *)
+        x.work <- x.work -. ((!now -. x.settled) *. x.rate);
+        if x.work < 0. then x.work <- 0.;
+        x.settled <- !now;
+        x.rate <- r;
+        if r > 0. && x.started_at < 0. then x.started_at <- !now;
+        x.eta <-
+          (if r > 0. then (if x.work <= 0. then !now else !now +. (x.work /. r))
+           else infinity);
+        dirty.(x.owner) <- true
+      end
+    done
   in
   let complete_due () =
-    Array.fold_left
-      (fun changed ts ->
-        match ts.current with
-        | Some x when (not x.finished) && x.rate > 0. && x.eta <= !now ->
-          dirty.(ts.index) <- true;
-          if x.attempt < x.fails then begin
-            (* Transient failure: the attempt's bytes moved over the bus
-               but the payload is bad.  Retry after a capped exponential
-               backoff with seeded jitter; past the retry budget the
-               tenant aborts. *)
-            let at = x.eta in
-            x.attempt <- x.attempt + 1;
-            ts.wt_busy <- ts.wt_busy +. x.load;
-            ts.ddr <- ts.ddr +. x.bytes;
-            (match faults with
-            | Some inj when x.attempt <= Fault.Injector.max_retries inj ->
-              ts.retries <- ts.retries + 1;
-              x.work <- x.load;
-              x.settled <- at;
-              x.rate <- 0.;
-              x.eta <- infinity;
-              x.blocked_until <-
-                at
-                +. Fault.Injector.backoff_seconds inj ~key:x.key
-                     ~attempt:(x.attempt - 1)
-            | Some _ | None ->
-              abort ts
-                (Printf.sprintf
-                   "transfer to node %d failed %d times (retry budget \
-                    exhausted)"
-                   x.target x.attempt));
-            true
-          end
-          else begin
-            x.finished <- true;
-            x.finished_at <- x.eta;
-            x.work <- 0.;
-            ts.current <- None;
-            ts.wt_busy <- ts.wt_busy +. x.load;
-            ts.ddr <- ts.ddr +. x.bytes;
-            (match x.kind with
-            | Prefetch_load ->
-              ts.weight_ready.(x.target) <- x.finished_at;
-              ts.pending_w.(x.target) <- ts.pending_w.(x.target) - 1
-            | Demand_load ->
-              ts.weight_ready.(x.target) <-
-                max ts.weight_ready.(x.target) x.finished_at;
-              ts.pending_w.(x.target) <- ts.pending_w.(x.target) - 1
-            | Weight_stream_x -> ());
-            true
-          end
-        | _ -> changed)
-      false tenants
+    let changed = ref false in
+    for i = 0 to ntenants - 1 do
+      let ts = tenants.(i) in
+      match ts.current with
+      | Some x when (not x.finished) && x.rate > 0. && x.eta <= !now ->
+        changed := true;
+        dirty.(i) <- true;
+        if x.attempt < x.fails then begin
+          (* Transient failure: the attempt's bytes moved over the bus
+             but the payload is bad.  Retry after a capped exponential
+             backoff with seeded jitter; past the retry budget the
+             tenant aborts. *)
+          let at = x.eta in
+          x.attempt <- x.attempt + 1;
+          ts.wt_busy <- ts.wt_busy +. x.load;
+          ts.ddr <- ts.ddr +. x.bytes;
+          (match faults with
+          | Some inj when x.attempt <= Fault.Injector.max_retries inj ->
+            ts.retries <- ts.retries + 1;
+            x.work <- x.load;
+            x.settled <- at;
+            x.rate <- 0.;
+            x.eta <- infinity;
+            x.blocked_until <-
+              at
+              +. Fault.Injector.backoff_seconds inj ~key:x.key
+                   ~attempt:(x.attempt - 1)
+          | Some _ | None ->
+            abort ts
+              (Printf.sprintf
+                 "transfer to node %d failed %d times (retry budget \
+                  exhausted)"
+                 x.target x.attempt))
+        end
+        else begin
+          x.finished <- true;
+          x.finished_at <- x.eta;
+          x.work <- 0.;
+          ts.current <- None;
+          ts.wt_busy <- ts.wt_busy +. x.load;
+          ts.ddr <- ts.ddr +. x.bytes;
+          (match x.kind with
+          | Prefetch_load ->
+            ts.weight_ready.(x.target) <- x.finished_at;
+            ts.pending_w.(x.target) <- ts.pending_w.(x.target) - 1
+          | Demand_load ->
+            ts.weight_ready.(x.target) <-
+              max ts.weight_ready.(x.target) x.finished_at;
+            ts.pending_w.(x.target) <- ts.pending_w.(x.target) - 1
+          | Weight_stream_x -> ())
+        end
+      | _ -> ()
+    done;
+    !changed
   in
   let all_finished () =
-    Array.for_all (fun ts -> ts.stage = Finished) tenants
+    Array.for_all
+      (fun ts -> match ts.stage with Finished -> true | _ -> false)
+      tenants
   in
-  (* Exhaust every zero-time transition at the current instant. *)
+  (* Exhaust every zero-time transition at the current instant.  Rates
+     are a function of the on-chip transfers, their blocked flags and the
+     instant (droop), so they are reassigned only when one of those may
+     have moved: a new instant, a transfer started, finished, retried or
+     aborted, or a fault event fired.  Any other round would reassign
+     every rate to the value it already has. *)
   let settle_instant () =
+    incr instants;
+    let stale = ref true in
     let continue = ref true in
     while !continue do
+      incr rounds;
       let c = ref false in
-      if fire_due_events () then c := true;
-      Array.iter
-        (fun ts ->
-          if progress ts then begin
-            dirty.(ts.index) <- true;
-            c := true
-          end)
-        tenants;
-      if start_jobs () then c := true;
-      assign_rates ();
-      if complete_due () then c := true;
+      if fire_due_events () then begin
+        c := true;
+        stale := true
+      end;
+      for i = 0 to ntenants - 1 do
+        if progress tenants.(i) then begin
+          dirty.(i) <- true;
+          c := true
+        end
+      done;
+      if start_jobs () then begin
+        c := true;
+        stale := true
+      end;
+      if !stale then begin
+        stale := false;
+        assign_rates ()
+      end;
+      if complete_due () then begin
+        c := true;
+        stale := true
+      end;
       continue := !c
     done
   in
@@ -693,18 +720,7 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
     | Executing e -> (
       match e.exec_stream with
       | Some x when not x.finished -> infinity
-      | _ ->
-        let wt_component =
-          match e.exec_stream with
-          | None -> 0.
-          | Some x -> x.finished_at -. e.exec_start
-        in
-        let p = ts.profiles.(e.exec_id) in
-        let _, duration =
-          NM.duration_and_binding ~latc:p.Latency.latc ~if_time:e.exec_if
-            ~wt_component ~of_time:e.exec_of
-        in
-        e.exec_start +. duration)
+      | _ -> e.exec_start +. snd (exec_duration ts e))
     | Awaiting _ | Finished -> infinity
   in
   let xfer_candidate ts =
@@ -718,24 +734,23 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
      the tenant's state is unchanged and time only moves forward, so
      skipping them matches the old scan's [t > now] filter for good. *)
   let flush_dirty () =
-    Array.iteri
-      (fun i d ->
-        if d then begin
-          dirty.(i) <- false;
-          let ts = tenants.(i) in
-          let s = stage_candidate ts in
-          if s > !now && s < infinity then EQ.push heap ~time:s i;
-          let x = xfer_candidate ts in
-          if x > !now && x < infinity then EQ.push heap ~time:x i
-        end)
-      dirty
+    for i = 0 to ntenants - 1 do
+      if dirty.(i) then begin
+        dirty.(i) <- false;
+        let ts = tenants.(i) in
+        let s = stage_candidate ts in
+        if s > !now && s < infinity then EQ.push heap ~time:s i;
+        let x = xfer_candidate ts in
+        if x > !now && x < infinity then EQ.push heap ~time:x i
+      end
+    done
   in
   let next_event () =
     let best = ref infinity in
-    let consider t = if t > !now && t < !best then best := t in
     (match faults with
     | None -> ()
     | Some inj ->
+      let consider t = if t > !now && t < !best then best := t in
       (match !pending_events with
       | ev :: _ -> consider (Fault.Injector.event_time ev)
       | [] -> ());
@@ -743,36 +758,46 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
       if boundary < infinity then consider boundary);
     let continue = ref true in
     while !continue do
-      match EQ.peek heap with
-      | None -> continue := false
-      | Some (t, i) ->
-        if t <= !now then EQ.drop_min heap
-        else if t >= !best then continue := false
-        else begin
-          let ts = tenants.(i) in
-          if t = stage_candidate ts || t = xfer_candidate ts then begin
-            (* Valid minimum; it becomes stale (<= now) once time
-               advances to it and is collected on a later pop. *)
-            best := t;
-            continue := false
-          end
-          else EQ.drop_min heap
+      let t = EQ.min_time heap in
+      if t <= !now then EQ.drop_min heap
+      else if t >= !best then continue := false
+      else begin
+        let ts = tenants.(EQ.min_tag heap) in
+        if t = stage_candidate ts || t = xfer_candidate ts then begin
+          (* Valid minimum; it becomes stale (<= now) once time
+             advances to it and is collected on a later pop. *)
+          best := t;
+          continue := false
         end
+        else EQ.drop_min heap
+      end
     done;
     !best
   in
+  (* Summed rates of the on-chip transfers, folded left to right in
+     tenant order. *)
   let utilization () =
-    List.fold_left (fun acc x -> acc +. x.rate) 0. (on_chip_jobs ())
+    let u = ref 0. in
+    for i = 0 to ntenants - 1 do
+      match tenants.(i).current with
+      | Some x when not x.finished -> u := !u +. x.rate
+      | _ -> ()
+    done;
+    !u
   in
-  (* Per-channel summed rates, in the same full-bandwidth units as the
-     aggregate timeline: the channel timelines always sum to it, and at
-     one channel [channel_utilization ().(0)] IS the aggregate value
-     (same left-to-right float fold over the same job list). *)
+  (* Per-channel summed rates into [cu], in the same full-bandwidth units
+     as the aggregate timeline: the channel timelines always sum to it,
+     and at one channel [cu.(0)] IS the aggregate value (same
+     left-to-right float fold over the same transfers). *)
+  let cu = Array.make channels 0. in
   let channel_utilization () =
-    let u = Array.make channels 0. in
-    List.iter (fun x -> u.(x.channel) <- u.(x.channel) +. x.rate)
-      (on_chip_jobs ());
-    u
+    Array.fill cu 0 channels 0.;
+    for i = 0 to ntenants - 1 do
+      match tenants.(i).current with
+      | Some x when not x.finished ->
+        cu.(x.channel) <- cu.(x.channel) +. x.rate
+      | _ -> ()
+    done
   in
   let guard = ref 0 in
   settle_instant ();
@@ -783,10 +808,11 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
     let t = next_event () in
     if t = infinity then
       failwith "Runtime.Engine: no runnable event but tenants unfinished";
-    let util = utilization () in
     if t > !now then begin
-      segments := { seg_start = !now; seg_end = t; utilization = util } :: !segments;
-      let cu = channel_utilization () in
+      segments :=
+        { seg_start = !now; seg_end = t; utilization = utilization () }
+        :: !segments;
+      channel_utilization ();
       for c = 0 to channels - 1 do
         channel_segments.(c) <-
           { seg_start = !now; seg_end = t; utilization = cu.(c) }
@@ -844,11 +870,15 @@ let run ~arbitration ~scheduler ?(channels = 1) ?assign ?rank ?faults inputs =
           log_channel = x.channel;
           log_bytes = x.bytes;
           log_load = x.load;
-          log_deadline = x.deadline;
+          log_deadline = x.pending.Scheduler.deadline;
           log_released = x.released_at;
           log_started = x.started_at;
           log_finished = (if x.finished then x.finished_at else -1.) })
       !all_xfers
   in
   { tenants = runs; makespan; timeline; channels; channel_timelines;
-    transfers }
+    transfers;
+    work =
+      { instants = !instants; rounds = !rounds;
+        rate_assignments = !rate_assignments;
+        transfers_created = !key_counter } }

@@ -22,6 +22,12 @@
     rate is 1, and the co-simulation reproduces the isolated engine bit
     for bit (pinned by test/test_runtime.ml across the model zoo).
 
+    Rates are reassigned only when their inputs can have changed: at a
+    new instant, or after a transfer started, finished, was retried or
+    aborted, or a fault event fired.  Every other settle round would
+    reassign each rate to its current value, so skipping it is exact
+    ({!work} counts both).
+
     An optional {!Fault.Injector.t} adds seeded board faults as discrete
     events: DDR droop windows scale every granted rate, transfers can
     stall at the channel head or fail and retry with capped exponential
@@ -108,6 +114,26 @@ type xfer_log = {
     consumed by the schedule optimizer and the schedule-conserve
     oracle. *)
 
+type work = {
+  instants : int;           (** Distinct instants settled. *)
+  rounds : int;             (** Settle rounds over all instants. *)
+  rate_assignments : int;
+      (** Rounds that reassigned the DDR rates: the first round of an
+          instant and every round after a transfer started, finished,
+          retried or was aborted, or a fault event fired.  Any other
+          round would leave every rate as it is, so it skips the
+          scheduler and arbiter. *)
+  transfers_created : int;  (** Transfers enqueued (keys issued). *)
+}
+(** Deterministic work counters of one run: exact counts, independent
+    of the machine and of timing.  Never rendered into a report. *)
+
+val no_work : work
+(** All counters zero. *)
+
+val add_work : work -> work -> work
+(** Field-wise sum. *)
+
 type result = {
   tenants : tenant_run array;
   makespan : float;        (** Max finish time over all tenants. *)
@@ -119,6 +145,7 @@ type result = {
           full stripe is utilization [1/channels]).  At one channel,
           [channel_timelines.(0) = timeline] exactly. *)
   transfers : xfer_log list;  (** Every transfer created, in key order. *)
+  work : work;             (** This run's event-loop work counters. *)
 }
 
 val run :

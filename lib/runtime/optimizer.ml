@@ -44,6 +44,7 @@ type outcome = {
   chosen : string;
   hp_slowdown : float;
   candidates : (string * float) list;
+  work : Engine.work;
 }
 
 let kind_int = function
@@ -317,4 +318,8 @@ let search ?pool ?(beam_width = 4) ?(hp_first = false) ~arbitration ~channels
   { result;
     chosen = label;
     hp_slowdown = hp;
-    candidates = List.map (fun (l, _, m, _) -> (l, m)) scored }
+    candidates = List.map (fun (l, _, m, _) -> (l, m)) scored;
+    work =
+      List.fold_left
+        (fun acc (r : Engine.result) -> Engine.add_work acc r.Engine.work)
+        Engine.no_work results }

@@ -20,6 +20,8 @@ type outcome = {
   candidates : (string * float) list;
       (** Every evaluated candidate with its makespan, in evaluation
           order (baselines first, searched orders after). *)
+  work : Engine.work;
+      (** Engine work summed over every candidate's run. *)
 }
 
 val search :

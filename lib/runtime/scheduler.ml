@@ -20,43 +20,34 @@ type pending = {
   rank : float;
 }
 
-(* Lexicographic urgency fold shared by the single-winner policies. *)
-let most_urgent better ready =
-  List.fold_left
-    (fun best p -> if better p best then p else best)
-    (List.hd ready) (List.tl ready)
+(* Earliest deadline, ties by priority, then key. *)
+let edf_before p best =
+  p.deadline < best.deadline
+  || (p.deadline = best.deadline
+     && (p.priority < best.priority
+        || (p.priority = best.priority && p.key < best.key)))
 
-let eligible t ready =
-  match ready with
-  | [] -> []
-  | _ -> (
-    match t with
-    | Greedy -> List.map (fun p -> p.key) ready
-    | Edf ->
-      let urgent =
-        most_urgent
-          (fun p best ->
-            p.deadline < best.deadline
-            || (p.deadline = best.deadline
-               && (p.priority < best.priority
-                  || (p.priority = best.priority && p.key < best.key))))
-          ready
-      in
-      [ urgent.key ]
-    | Optimized ->
-      (* A searched static order: ranks come from the schedule
-         optimizer's chosen transfer order; deadline/priority/key break
-         ties among equally-ranked transfers, so with all ranks 0 (no
-         rank table) Optimized degenerates to exactly Edf. *)
-      let urgent =
-        most_urgent
-          (fun p best ->
-            p.rank < best.rank
-            || (p.rank = best.rank
-               && (p.deadline < best.deadline
-                  || (p.deadline = best.deadline
-                     && (p.priority < best.priority
-                        || (p.priority = best.priority && p.key < best.key))))))
-          ready
-      in
-      [ urgent.key ])
+(* A searched static order: ranks come from the schedule optimizer's
+   chosen transfer order; EDF breaks ties among equally-ranked
+   transfers, so with all ranks 0 (no rank table) Optimized degenerates
+   to exactly Edf. *)
+let optimized_before p best =
+  p.rank < best.rank || (p.rank = best.rank && edf_before p best)
+
+(* Choose the most urgent of [ready.(0 .. n-1)], scanning left to right
+   (the earlier entry keeps a tie). *)
+let choose_most_urgent before ready n chosen =
+  Array.fill chosen 0 n false;
+  if n > 0 then begin
+    let best = ref 0 in
+    for i = 1 to n - 1 do
+      if before ready.(i) ready.(!best) then best := i
+    done;
+    chosen.(!best) <- true
+  end
+
+let eligible_into t ready n chosen =
+  match t with
+  | Greedy -> Array.fill chosen 0 n true
+  | Edf -> choose_most_urgent edf_before ready n chosen
+  | Optimized -> choose_most_urgent optimized_before ready n chosen

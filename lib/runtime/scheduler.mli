@@ -37,10 +37,13 @@ type pending = {
                         no rank table is in force. *)
 }
 
-val eligible : t -> pending list -> int list
-(** Keys of the transfers allowed to contend for bandwidth right now
-    (the engine calls this once per channel, with that channel's pending
-    transfers): all of them under [Greedy], the single most urgent one
-    under [Edf] (earliest deadline, ties by priority then key), the
-    lowest-ranked one under [Optimized] (ties by deadline, priority,
-    key). *)
+val eligible_into : t -> pending array -> int -> bool array -> unit
+(** [eligible_into t ready n chosen] sets [chosen.(i)] for every
+    position [i < n] of [ready] allowed to contend for bandwidth right
+    now, and clears it for the others (the engine calls this once per
+    channel, with that channel's pending transfers in arrival order, and
+    reuses both arrays from round to round; nothing is allocated): all
+    of them under [Greedy], the single most urgent one under [Edf]
+    (earliest deadline, ties by priority then key), the lowest-ranked
+    one under [Optimized] (ties broken as [Edf]).  [n = 0] chooses
+    nothing. *)

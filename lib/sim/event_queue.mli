@@ -16,8 +16,12 @@ val clear : t -> unit
 
 val push : t -> time:float -> int -> unit
 
-val peek : t -> (float * int) option
-(** Earliest entry, or [None] when empty. *)
+val min_time : t -> float
+(** Time of the earliest entry, [infinity] when empty (no entry is ever
+    due later than every other); allocates nothing. *)
+
+val min_tag : t -> int
+(** Tag of the earliest entry; raises [Invalid_argument] when empty. *)
 
 val drop_min : t -> unit
 (** Remove the earliest entry; raises [Invalid_argument] when empty. *)

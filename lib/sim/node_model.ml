@@ -61,14 +61,23 @@ let of_time ~on_chip (p : Latency.profile) =
   if Metric.Item_set.mem (Metric.Feature_value p.Latency.node_id) on_chip then 0.
   else p.Latency.of_term
 
+(* Components in Eq. 1 order; a later one binds only when strictly
+   larger, so ties keep the earlier component. *)
 let duration_and_binding ~latc ~if_time ~wt_component ~of_time =
-  let components =
-    [ (Compute, latc); (Input_stream, if_time);
-      (Weight_stream, wt_component); (Output_stream, of_time) ]
-  in
-  List.fold_left
-    (fun (bb, bd) (b, d) -> if d > bd then (b, d) else (bb, bd))
-    (Compute, latc) components
+  let binding = ref Compute and duration = ref latc in
+  if if_time > !duration then begin
+    binding := Input_stream;
+    duration := if_time
+  end;
+  if wt_component > !duration then begin
+    binding := Weight_stream;
+    duration := wt_component
+  end;
+  if of_time > !duration then begin
+    binding := Output_stream;
+    duration := of_time
+  end;
+  (!binding, !duration)
 
 let if_stream_bytes ~on_chip (p : Latency.profile) =
   List.fold_left

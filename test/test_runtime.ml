@@ -54,12 +54,9 @@ let admitted report =
 
 (* --- single-tenant exactness --- *)
 
-(* Engine level: one tenant's co-simulation must equal the reference
-   discrete-event run on every node — starts, finishes, waits,
-   bindings, and the run-level aggregates.  Exact float equality; any
-   arithmetic drift in the shared-bus path would show up here. *)
-let check_engine_exact model =
-  let _, plan, iso = compile model in
+(* A compiled plan as an engine tenant arriving at 0, with the
+   runtime's EDF slack: the isolated distance from PDG source to target. *)
+let engine_input label plan (iso : Sim.Engine.run) =
   let slack target =
     match plan.F.prefetch with
     | None -> 0.
@@ -70,18 +67,25 @@ let check_engine_exact model =
         -. iso.Sim.Engine.timings.(s).Sim.Engine.start
       | None -> 0.)
   in
+  { Rt.Engine.label;
+    metric = plan.F.metric;
+    on_chip = plan.F.allocation.Lcmm.Dnnk.on_chip;
+    prefetch = plan.F.prefetch;
+    arrival = 0.;
+    priority = 0;
+    slack;
+    replan = None }
+
+(* Engine level: one tenant's co-simulation must equal the reference
+   discrete-event run on every node — starts, finishes, waits,
+   bindings, and the run-level aggregates.  Exact float equality; any
+   arithmetic drift in the shared-bus path would show up here. *)
+let check_engine_exact model =
+  let _, plan, iso = compile model in
   List.iter
     (fun (arbitration, scheduler) ->
       let result =
-        Rt.Engine.run ~arbitration ~scheduler
-          [| { Rt.Engine.label = model;
-               metric = plan.F.metric;
-               on_chip = plan.F.allocation.Lcmm.Dnnk.on_chip;
-               prefetch = plan.F.prefetch;
-               arrival = 0.;
-               priority = 0;
-               slack;
-               replan = None } |]
+        Rt.Engine.run ~arbitration ~scheduler [| engine_input model plan iso |]
       in
       let t = result.Rt.Engine.tenants.(0) in
       Alcotest.(check int)
@@ -282,23 +286,40 @@ let test_admission_never_overcommits () =
       Rt.Partition.all
   done
 
+(* List views over the allocation-free array forms: the keys the
+   scheduler lets contend, and each contender's (key, rate). *)
+let eligible t pending =
+  let ready = Array.of_list pending in
+  let chosen = Array.make (Array.length ready) false in
+  Rt.Scheduler.eligible_into t ready (Array.length ready) chosen;
+  List.filteri (fun i _ -> chosen.(i)) pending
+  |> List.map (fun p -> p.Rt.Scheduler.key)
+
+let rates t jobs =
+  let keys = Array.of_list (List.map fst jobs) in
+  let priorities = Array.of_list (List.map snd jobs) in
+  let out = Array.make (Array.length keys) nan in
+  Rt.Arbiter.rates_into t ~keys ~priorities (Array.length keys) out;
+  List.mapi (fun i key -> (key, out.(i))) (Array.to_list keys)
+
+let pending ?(rank = 0.) key deadline priority =
+  { Rt.Scheduler.key; deadline; priority; rank }
+
 let test_scheduler_eligibility () =
   let pending =
-    [ { Rt.Scheduler.key = 0; deadline = 3.; priority = 0; rank = 0. };
-      { Rt.Scheduler.key = 1; deadline = 1.; priority = 5; rank = 0. };
-      { Rt.Scheduler.key = 2; deadline = 1.; priority = 2; rank = 0. } ]
+    [ pending 0 3. 0; pending 1 1. 5; pending 2 1. 2 ]
   in
   Alcotest.(check (list int)) "greedy admits all" [ 0; 1; 2 ]
-    (List.sort compare (Rt.Scheduler.eligible Rt.Scheduler.Greedy pending));
+    (List.sort compare (eligible Rt.Scheduler.Greedy pending));
   (* EDF: earliest deadline, priority breaking the tie. *)
   Alcotest.(check (list int)) "edf picks most urgent" [ 2 ]
-    (Rt.Scheduler.eligible Rt.Scheduler.Edf pending);
+    (eligible Rt.Scheduler.Edf pending);
   Alcotest.(check (list int)) "edf of nothing" []
-    (Rt.Scheduler.eligible Rt.Scheduler.Edf []);
+    (eligible Rt.Scheduler.Edf []);
   (* Optimized: lowest rank wins regardless of deadline; all-zero ranks
      degenerate to EDF. *)
   Alcotest.(check (list int)) "optimized without ranks = edf" [ 2 ]
-    (Rt.Scheduler.eligible Rt.Scheduler.Optimized pending);
+    (eligible Rt.Scheduler.Optimized pending);
   let ranked =
     List.map
       (fun p ->
@@ -306,15 +327,15 @@ let test_scheduler_eligibility () =
       pending
   in
   Alcotest.(check (list int)) "optimized follows ranks" [ 0 ]
-    (Rt.Scheduler.eligible Rt.Scheduler.Optimized ranked)
+    (eligible Rt.Scheduler.Optimized ranked)
 
 let test_arbiter_rates () =
   let jobs = [ (10, 1); (11, 0); (12, 1) ] in
-  let fair = Rt.Arbiter.rates Rt.Arbiter.Fair_share jobs in
+  let fair = rates Rt.Arbiter.Fair_share jobs in
   List.iter
     (fun (_, r) -> Alcotest.(check (float 1e-12)) "fair share" (1. /. 3.) r)
     fair;
-  let prio = Rt.Arbiter.rates Rt.Arbiter.Priority jobs in
+  let prio = rates Rt.Arbiter.Priority jobs in
   List.iter
     (fun (key, r) ->
       Alcotest.(check (float 0.)) "priority winner-takes-all"
@@ -322,7 +343,47 @@ let test_arbiter_rates () =
         r)
     prio;
   Alcotest.(check (list (pair int (float 0.)))) "empty" []
-    (Rt.Arbiter.rates Rt.Arbiter.Fair_share [])
+    (rates Rt.Arbiter.Fair_share [])
+
+(* Tie-breaks of the array forms, entry order deliberately against the
+   expected winner so a first-wins scan cannot pass by accident. *)
+let test_policy_tie_breaks () =
+  (* EDF: equal deadlines go to the lower priority number, then to the
+     lower key. *)
+  Alcotest.(check (list int)) "edf deadline tie -> priority" [ 7 ]
+    (eligible Rt.Scheduler.Edf [ pending 3 1. 4; pending 7 1. 1; pending 1 2. 0 ]);
+  Alcotest.(check (list int)) "edf deadline+priority tie -> key" [ 2 ]
+    (eligible Rt.Scheduler.Edf [ pending 9 1. 1; pending 2 1. 1; pending 5 1. 1 ]);
+  (* Optimized: equal ranks fall back to exactly the EDF order. *)
+  let tied =
+    [ pending ~rank:1. 9 2. 0; pending ~rank:1. 8 1. 3;
+      pending ~rank:1. 4 1. 3; pending ~rank:2. 0 0. 0 ]
+  in
+  Alcotest.(check (list int)) "optimized rank tie = edf among the tied" [ 4 ]
+    (eligible Rt.Scheduler.Optimized tied);
+  Alcotest.(check (list int)) "edf on the same set ignores ranks" [ 0 ]
+    (eligible Rt.Scheduler.Edf tied);
+  (* Priority arbitration: equal priorities go to the lowest key. *)
+  Alcotest.(check (list (pair int (float 0.)))) "priority tie -> lowest key"
+    [ (12, 0.); (10, 1.); (11, 0.); (3, 0.) ]
+    (rates Rt.Arbiter.Priority [ (12, 0); (10, 0); (11, 0); (3, 1) ]);
+  (* Empty input chooses nothing and writes nothing: entries past [n]
+     are the caller's reused scratch and must survive. *)
+  let ready = Array.of_list [ pending 0 0. 0; pending 1 0. 0 ] in
+  List.iter
+    (fun t ->
+      let chosen = [| true; false |] in
+      Rt.Scheduler.eligible_into t ready 0 chosen;
+      Alcotest.(check (array bool))
+        (Rt.Scheduler.to_string t ^ " of nothing") [| true; false |] chosen)
+    Rt.Scheduler.all;
+  List.iter
+    (fun t ->
+      let out = [| 0.25; 0.5 |] in
+      Rt.Arbiter.rates_into t ~keys:[| 1; 2 |] ~priorities:[| 0; 0 |] 0 out;
+      Alcotest.(check (array (float 0.)))
+        (Rt.Arbiter.to_string t ^ " of nothing") [| 0.25; 0.5 |] out)
+    Rt.Arbiter.all
 
 (* --- per-channel timelines and the schedule optimizer --- *)
 
@@ -478,6 +539,117 @@ let test_optimizer_deterministic () =
   Alcotest.(check string) "chosen candidate stable" c1 c2;
   Alcotest.(check string) "report json byte-identical" j1 j2
 
+(* --- committed runtime goldens --- *)
+
+(* The tenant specs `lcmm runtime --tenants MIX [--seed N]` builds:
+   replicas named model#k in mix order, arriving at 0 plus the seeded
+   jitter. *)
+let cli_specs ?seed mix =
+  let rng = Option.map (fun s -> Random.State.make [| s |]) seed in
+  List.concat_map
+    (fun (model, count, priority) ->
+      let g = Models.Zoo.build model in
+      List.init count (fun k ->
+          let arrival =
+            match rng with None -> 0. | Some st -> Random.State.float st 5e-4
+          in
+          spec ~priority ~arrival model k g))
+    mix
+
+let faults s =
+  match Fault.Spec.of_string s with
+  | Ok spec -> Some spec
+  | Error msg -> failwith msg
+
+(* MD5 of each test/golden/runtime_*.golden.json (the `--json` report
+   plus its newline), regenerated in process; ci.sh diffs the files
+   themselves.  Between them they drive the optimized search under
+   priority arbitration and at 4 channels, every fault kind (stall,
+   retry, droop, bank loss with replanning), retry exhaustion and an
+   injected abort, besides the single-tenant and EDF paths. *)
+let test_runtime_goldens () =
+  let o = Rt.Runtime.default_options in
+  let optimized = Rt.Scheduler.Optimized in
+  List.iter
+    (fun (name, md5, options, specs) ->
+      let json =
+        Dnn_serial.Json.to_string ~indent:2
+          (Rt.Report.to_json (Rt.Runtime.run options specs))
+      in
+      Alcotest.(check string) name md5
+        (Digest.to_hex (Digest.string (json ^ "\n"))))
+    [ ( "runtime_single", "a0ef96086f3e1b620d8a9bdd24ba93b9", o,
+        cli_specs [ ("googlenet", 1, 0) ] );
+      ( "runtime_single_greedy", "3c88cc234d2f5b2ecf08525723a6bd3c",
+        { o with scheduler = Rt.Scheduler.Greedy },
+        cli_specs [ ("googlenet", 1, 0) ] );
+      ( "runtime_multi_edf", "0f68d4d92f7fce1beffa9420acdc82d0", o,
+        cli_specs ~seed:7 [ ("alexnet", 2, 0); ("vgg16", 1, 0) ] );
+      ( "runtime_opt_priority", "a10fceb76042a0a41f3e745153b5ca31",
+        { o with scheduler = optimized; arbitration = Rt.Arbiter.Priority },
+        cli_specs [ ("resnet50", 1, 0); ("vgg16", 2, 0) ] );
+      ( "runtime_opt_channels4", "ad6cd141651d7197aadeedfba54c3450",
+        { o with scheduler = optimized; channels = 4 },
+        cli_specs [ ("googlenet", 1, 0); ("vgg16", 1, 0) ] );
+      ( "runtime_opt_faults", "b5071d642d8681660ab12d93ff10a78b",
+        { o with
+          scheduler = optimized;
+          faults =
+            faults
+              "seed=3,stall:0.2:0.5,fail:0.1,retries=3,droop@1:5:0.5,\
+               bankloss@4:2m:1" },
+        cli_specs [ ("googlenet", 2, 0); ("alexnet", 1, 0) ] );
+      ( "runtime_retry_abort", "ba4ad4e845707e88516fd51a3458c6ed",
+        { o with faults = faults "seed=5,fail:1,retries=2" },
+        cli_specs [ ("googlenet", 2, 0) ] );
+      ( "runtime_injected_abort", "d2c974551a23a40e5080b535f9b4a4c6",
+        { o with faults = faults "abort@1:0" },
+        cli_specs [ ("alexnet", 2, 0) ] ) ]
+
+(* --- engine work counters --- *)
+
+let work_t =
+  let pp ppf (w : Rt.Engine.work) =
+    Format.fprintf ppf
+      "{instants=%d; rounds=%d; rate_assignments=%d; transfers_created=%d}"
+      w.Rt.Engine.instants w.Rt.Engine.rounds w.Rt.Engine.rate_assignments
+      w.Rt.Engine.transfers_created
+  in
+  Alcotest.testable pp ( = )
+
+(* Exact counts for two googlenet replicas on one fair-share channel:
+   one EDF run, and the optimizer's sum over its greedy, EDF and
+   searched-order candidates.  Instants, rounds and transfers are the
+   event loop's own work; rate assignments are the rounds whose DDR
+   rates could have moved (a new instant, a transfer started, finished,
+   retried or aborted, a fault event) — every other round would
+   reassign each rate to its current value. *)
+let test_engine_work_counters () =
+  let _, plan, iso = compile "googlenet" in
+  let inputs =
+    Array.init 2 (fun k ->
+        engine_input (Printf.sprintf "googlenet#%d" k) plan iso)
+  in
+  let arbitration = Rt.Arbiter.Fair_share in
+  let edf = Rt.Engine.run ~arbitration ~scheduler:Rt.Scheduler.Edf inputs in
+  let w = edf.Rt.Engine.work in
+  Alcotest.(check int) "one transfer per log entry"
+    (List.length edf.Rt.Engine.transfers) w.Rt.Engine.transfers_created;
+  Alcotest.(check bool) "at most one assignment per round" true
+    (w.Rt.Engine.instants <= w.Rt.Engine.rate_assignments
+    && w.Rt.Engine.rate_assignments <= w.Rt.Engine.rounds);
+  Alcotest.check work_t "edf run"
+    { Rt.Engine.instants = 238; rounds = 824; rate_assignments = 413;
+      transfers_created = 116 }
+    w;
+  let out =
+    Rt.Optimizer.search ~arbitration ~channels:1 ~isos:[| iso; iso |] inputs
+  in
+  Alcotest.check work_t "optimizer search, all candidates"
+    { Rt.Engine.instants = 2058; rounds = 7098; rate_assignments = 3549;
+      transfers_created = 1044 }
+    out.Rt.Optimizer.work
+
 (* --- report plumbing --- *)
 
 let test_report_json_shape () =
@@ -525,6 +697,7 @@ let suite =
     Alcotest.test_case "scheduler eligibility" `Quick
       test_scheduler_eligibility;
     Alcotest.test_case "arbiter rates" `Quick test_arbiter_rates;
+    Alcotest.test_case "policy tie-breaks" `Quick test_policy_tie_breaks;
     Alcotest.test_case "one channel = aggregate timeline" `Quick
       test_single_channel_is_aggregate;
     Alcotest.test_case "channel busy integrals conserved" `Quick
@@ -535,4 +708,6 @@ let suite =
       test_optimized_hp_slowdown;
     Alcotest.test_case "optimizer deterministic" `Slow
       test_optimizer_deterministic;
+    Alcotest.test_case "committed runtime goldens" `Quick test_runtime_goldens;
+    Alcotest.test_case "engine work counters" `Quick test_engine_work_counters;
     Alcotest.test_case "report json shape" `Quick test_report_json_shape ]
