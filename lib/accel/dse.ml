@@ -10,6 +10,7 @@ type work = {
   transfer_terms : int;
   compute_terms : int;
   configs_scored : int;
+  score_adds : int;
 }
 
 let candidate_tiles () =
@@ -28,15 +29,23 @@ let dsp_fractions = [ 0.83; 0.6; 0.4; 0.25; 0.12 ]
 type point = { dsp_fraction : float; tile : int; resources : Fpga.Resource.t }
 
 (* Eq. 1 summed over the nodes in node order from 0., exactly as
-   [Latency.umm_total] sums the node profiles.  The comparison is
-   [Stdlib.max] on floats, written out so it compiles to a float compare. *)
-let score node_row latc xfer =
-  let acc = ref 0. in
-  for id = 0 to Array.length node_row - 1 do
-    let r = node_row.(id) in
+   [Latency.umm_total] sums the node profiles, stopping early once the
+   partial sum exceeds [bound].  Every term is >= 0 and rounded addition
+   is monotone, so a partial sum above [bound] means a total above it:
+   such a point can neither win nor tie, and its partial sum stands in
+   for its score.  A point that ties [bound] is summed to the end.  The
+   comparison is [Stdlib.max] on floats, written out so it compiles to a
+   float compare.  [adds] counts the max-adds performed. *)
+let score node_row latc xfer ~bound ~adds =
+  let acc = ref 0. and id = ref 0 in
+  let n = Array.length node_row in
+  while !id < n && !acc <= bound do
+    let r = node_row.(!id) in
     let c = latc.(r) and x = xfer.(r) in
-    acc := !acc +. (if c >= x then c else x)
+    acc := !acc +. (if c >= x then c else x);
+    incr id
   done;
+  adds := !adds + !id;
   !acc
 
 let explore ?(device = Fpga.Device.vu9p) ?tiles ~styles dtype g =
@@ -63,7 +72,8 @@ let explore ?(device = Fpga.Device.vu9p) ?tiles ~styles dtype g =
           (List.init (Array.length tiles) Fun.id))
       dsp_fractions
   in
-  let transfer_terms = ref 0 and compute_terms = ref 0 and configs_scored = ref 0 in
+  let transfer_terms = ref 0 and compute_terms = ref 0 and configs_scored = ref 0
+  and score_adds = ref 0 in
   (* Transfer bounds depend on the tiling only: one vector per tile that
      some point uses, shared by every rung and style. *)
   let xfer =
@@ -96,7 +106,11 @@ let explore ?(device = Fpga.Device.vu9p) ?tiles ~styles dtype g =
           List.iter
             (fun p ->
               incr configs_scored;
-              let scored = (score node_row latc (Lazy.force xfer.(p.tile)), p) in
+              let bound = match !best with None -> infinity | Some (l, _) -> l in
+              let scored =
+                ( score node_row latc (Lazy.force xfer.(p.tile)) ~bound ~adds:score_adds,
+                  p )
+              in
               best :=
                 Some (match !best with None -> scored | Some b -> better b scored))
             points)
@@ -116,7 +130,8 @@ let explore ?(device = Fpga.Device.vu9p) ?tiles ~styles dtype g =
       rows;
       transfer_terms = !transfer_terms;
       compute_terms = !compute_terms;
-      configs_scored = !configs_scored } )
+      configs_scored = !configs_scored;
+      score_adds = !score_adds } )
 
 let run ?device ?tiles ~style dtype g =
   match explore ?device ?tiles ~styles:[ style ] dtype g with

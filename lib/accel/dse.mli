@@ -16,14 +16,20 @@
     each distinct row's transfer bound once per tile and its compute term
     once per (rung, clock), and scores a point as the sum over nodes, in
     node order from [0.], of [max(latc, transfer)] of the node's row.
+    Scoring stops early once the partial sum exceeds the best score so
+    far: every term is [>= 0] and rounded addition is monotone, so that
+    point's total exceeds the best too.  A point that ties the best is
+    summed to the end, so the tie-break sees it.
 
     {b Bit-identity.}  Those are exactly the float operations
     [Latency.umm_total (Latency.profile_graph cfg g)] performs on the
     point's config, the fit filter and tie-break are the same, and the
     points are visited in the same order, so every chosen config and
     [umm_latency] is bit-identical to profiling the whole graph once per
-    design point.  The [dse-exhaustive] oracle keeps that per-point
-    sweep as its reference. *)
+    design point.  A point that exits early keeps a partial sum, not its
+    score; it can never win, so the winner's [umm_latency] is always a
+    full score.  The [dse-exhaustive] oracle keeps the per-point sweep
+    as its reference. *)
 
 type result = {
   config : Config.t;
@@ -49,6 +55,9 @@ type work = {
   compute_terms : int;
       (** Row compute terms evaluated: rows x (rung, clock) pairs used. *)
   configs_scored : int;  (** Fitting design points scored, over all styles. *)
+  score_adds : int;
+      (** Max-adds performed while scoring, over all styles: at most
+          [nodes x configs_scored], fewer when points exit early. *)
 }
 (** Deterministic work counts of one exploration. *)
 

@@ -214,22 +214,19 @@ let profile_row cfg row ~id ~sources ~latc =
 
 type table = {
   dtype : Tensor.Dtype.t;
-  rows : row array;          (* Distinct rows, in order of first appearance. *)
-  first : int array;         (* Row index -> first node with that row. *)
-  node_row : int array;      (* Node id -> row index. *)
-  sources : int list array;  (* Node id -> source values, in read order. *)
+  rows : row array;      (* Distinct rows, in order of first appearance. *)
+  node_row : int array;  (* Node id -> row index. *)
 }
 
 let layer_table dtype g =
   let n = G.node_count g in
   let fusable = Array.init n (fusable g) in
-  let sources = Array.init n (node_sources g) in
   let index = Hashtbl.create 64 in
-  let rows = ref [] and first = ref [] and count = ref 0 in
+  let rows = ref [] and count = ref 0 in
   let node_row =
     Array.init n (fun id ->
         let row =
-          make_row dtype g ~fusable:(Array.get fusable) ~sources:sources.(id) id
+          make_row dtype g ~fusable:(Array.get fusable) ~sources:(node_sources g id) id
         in
         match Hashtbl.find_opt index row with
         | Some r -> r
@@ -237,15 +234,10 @@ let layer_table dtype g =
           let r = !count in
           Hashtbl.add index row r;
           rows := row :: !rows;
-          first := id :: !first;
           incr count;
           r)
   in
-  { dtype;
-    rows = Array.of_list (List.rev !rows);
-    first = Array.of_list (List.rev !first);
-    node_row;
-    sources }
+  { dtype; rows = Array.of_list (List.rev !rows); node_row }
 
 let table_rows t = Array.length t.rows
 
@@ -283,11 +275,62 @@ let umm_transfer p =
 
 let umm_node_latency p = max p.latc (umm_transfer p)
 
+(* Source values of a row that stream from DDR: those fusion does not
+   consume from a drain. *)
+let rec count_streams fusion n = function
+  | [] -> n
+  | (_, f) :: tl -> count_streams fusion (if fusion && f then n else n + 1) tl
+
+(* [umm_transfer] of the row's profile without building it: the same
+   float operations in the same order ([profile_row]'s per-source streamed
+   bytes and [if_ovh_each], [transfer_time]'s left fold from [0.] and its
+   [max]es), over the row's own source list.  The loops keep the float
+   accumulators unboxed, so a term allocates only [tile_loops]' result. *)
 let row_transfer cfg t r =
   if cfg.Config.dtype <> t.dtype then
     invalid_arg "Latency.row_transfer: design and layer table disagree on the precision";
-  let id = t.first.(r) in
-  umm_transfer (profile_row cfg t.rows.(r) ~id ~sources:t.sources.(id) ~latc:0.)
+  let row = t.rows.(r) in
+  match row.kind with
+  | Input | Concat -> 0.
+  | Conv _ | Dense _ | Aux _ ->
+    let bw = Config.interface_bandwidth cfg in
+    let trips, txn = tile_loops cfg.Config.tile row.kind in
+    let ovh = cfg.Config.burst_overhead in
+    let fusion = cfg.Config.fused_eltwise in
+    let streams = count_streams fusion 0 row.src_bytes in
+    let if_ovh_each =
+      if streams = 0 then 0.
+      else float_of_int txn.Tiling.if_txn *. ovh /. float_of_int streams
+    in
+    let if_time = ref 0. and rest = ref row.src_bytes and more = ref true in
+    while !more do
+      match !rest with
+      | [] -> more := false
+      | (bytes, f) :: tl ->
+        if not (fusion && f) then begin
+          let streamed_bytes =
+            int_of_float
+              (float_of_int (bytes * trips.Tiling.if_trips) *. trips.Tiling.halo)
+          in
+          if_time := !if_time +. ((float_of_int streamed_bytes /. bw) +. if_ovh_each)
+        end;
+        rest := tl
+    done;
+    let wt_time =
+      if row.wt_bytes = 0 then 0.
+      else
+        float_of_int (row.wt_bytes * trips.Tiling.wt_trips) /. bw
+        +. (float_of_int txn.Tiling.wt_txn *. ovh)
+    in
+    let of_time =
+      if (fusion && row.out_fused) || row.out_bytes = 0 then 0.
+      else
+        (float_of_int row.out_bytes /. bw)
+        +. (float_of_int txn.Tiling.of_txn *. ovh)
+    in
+    (* [Stdlib.max]: [if a >= b then a else b], on floats. *)
+    let wt_of = if wt_time >= of_time then wt_time else of_time in
+    if !if_time >= wt_of then !if_time else wt_of
 
 let umm_total profiles =
   Array.fold_left (fun acc p -> acc +. umm_node_latency p) 0. profiles

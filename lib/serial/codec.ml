@@ -177,6 +177,8 @@ let graph_of_json v =
 let to_string ?(pretty = true) g =
   Json.to_string ~indent:(if pretty then 2 else 0) (graph_to_json g)
 
+let to_buffer buf g = Json.to_buffer buf (graph_to_json g)
+
 let digest_string s = Digest.to_hex (Digest.string s)
 
 let digest g = digest_string (to_string ~pretty:false g)

@@ -15,6 +15,10 @@ val graph_of_json : Json.t -> (Dnn_graph.Graph.t, string) result
 val to_string : ?pretty:bool -> Dnn_graph.Graph.t -> string
 (** Serialize ([pretty] defaults to true). *)
 
+val to_buffer : Buffer.t -> Dnn_graph.Graph.t -> unit
+(** Append the compact serialization, [to_string ~pretty:false g], to the
+    buffer. *)
+
 val digest_string : string -> string
 (** Hex digest (MD5) of an arbitrary canonical byte string — the same
     content-address scheme as {!digest}, for callers that fingerprint

@@ -9,40 +9,87 @@ type t =
 
 (* --- rendering --- *)
 
+(* Copies each run of bytes that needs no escape whole. *)
 let escape_into buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let to_string ?(indent = 0) value =
-  let buf = Buffer.create 1024 in
-  let newline depth =
-    if indent > 0 then begin
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (String.make (indent * depth) ' ')
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !start (i - !start);
+      (match c with
+       | '"' -> Buffer.add_string buf "\\\""
+       | '\\' -> Buffer.add_string buf "\\\\"
+       | '\n' -> Buffer.add_string buf "\\n"
+       | '\r' -> Buffer.add_string buf "\\r"
+       | '\t' -> Buffer.add_string buf "\\t"
+       | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+      start := i + 1
     end
+  done;
+  Buffer.add_substring buf s !start (String.length s - !start)
+
+(* [string_of_int i] written straight into [buf], through a 20-byte
+   [scratch] (the 19 digits and sign of [min_int]).  The digits come from
+   the non-positive [-|i|], which exists for [min_int] too. *)
+let add_int buf scratch i =
+  if i >= 0 && i < 10 then Buffer.add_char buf (Char.unsafe_chr (48 + i))
+  else begin
+    let n = ref (if i < 0 then i else -i) and pos = ref 20 in
+    while !n <> 0 do
+      decr pos;
+      Bytes.unsafe_set scratch !pos (Char.unsafe_chr (48 - (!n mod 10)));
+      n := !n / 10
+    done;
+    if i < 0 then begin
+      decr pos;
+      Bytes.unsafe_set scratch !pos '-'
+    end;
+    Buffer.add_subbytes buf scratch !pos (20 - !pos)
+  end
+
+let add_string buf s =
+  Buffer.add_char buf '"';
+  escape_into buf s;
+  Buffer.add_char buf '"'
+
+let rec add_compact buf scratch = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Int i -> add_int buf scratch i
+  | Float f ->
+    if Float.is_integer f && Float.abs f < 1e15 then
+      Buffer.add_string buf (Printf.sprintf "%.1f" f)
+    else Buffer.add_string buf (Printf.sprintf "%.17g" f)
+  | String s -> add_string buf s
+  | List items ->
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i item ->
+        if i > 0 then Buffer.add_char buf ',';
+        add_compact buf scratch item)
+      items;
+    Buffer.add_char buf ']'
+  | Obj fields ->
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (key, item) ->
+        if i > 0 then Buffer.add_char buf ',';
+        add_string buf key;
+        Buffer.add_char buf ':';
+        add_compact buf scratch item)
+      fields;
+    Buffer.add_char buf '}'
+
+let to_buffer buf value = add_compact buf (Bytes.create 20) value
+
+let add_pretty buf ~indent value =
+  let scratch = Bytes.create 20 in
+  let newline depth =
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf (String.make (indent * depth) ' ')
   in
   let rec emit depth = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.1f" f)
-      else Buffer.add_string buf (Printf.sprintf "%.17g" f)
-    | String s ->
-      Buffer.add_char buf '"';
-      escape_into buf s;
-      Buffer.add_char buf '"'
+    | (Null | Bool _ | Int _ | Float _ | String _) as v -> add_compact buf scratch v
     | List [] -> Buffer.add_string buf "[]"
     | List items ->
       Buffer.add_char buf '[';
@@ -61,16 +108,18 @@ let to_string ?(indent = 0) value =
         (fun i (key, item) ->
           if i > 0 then Buffer.add_char buf ',';
           newline (depth + 1);
-          Buffer.add_char buf '"';
-          escape_into buf key;
-          Buffer.add_string buf "\":";
-          if indent > 0 then Buffer.add_char buf ' ';
+          add_string buf key;
+          Buffer.add_string buf ": ";
           emit (depth + 1) item)
         fields;
       newline depth;
       Buffer.add_char buf '}'
   in
-  emit 0 value;
+  emit 0 value
+
+let to_string ?(indent = 0) value =
+  let buf = Buffer.create 1024 in
+  if indent > 0 then add_pretty buf ~indent value else to_buffer buf value;
   Buffer.contents buf
 
 let pp ppf v = Format.pp_print_string ppf (to_string ~indent:2 v)

@@ -17,6 +17,9 @@ val to_string : ?indent:int -> t -> string
 (** Render; [indent > 0] pretty-prints with that step (default 0 =
     compact). *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Append the compact rendering, [to_string v], to the buffer. *)
+
 val of_string : string -> (t, string) result
 (** Parse a complete document; the error carries a byte offset. *)
 

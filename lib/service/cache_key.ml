@@ -43,27 +43,41 @@ let options_fingerprint (o : F.options) =
         persisted disk cache entry — keeps its digest. *)
      @ (if o.F.channels = 1 then [] else [ "ch:" ^ string_of_int o.F.channels ]))
 
+(* The hex MD5 of the parts joined by NUL bytes.  Each part appends
+   itself to one buffer, so a graph's rendering is hashed without first
+   being copied into its own string and then into the joined one. *)
 let hash parts =
-  Digest.to_hex (Digest.string (String.concat "\x00" parts))
+  let buf = Buffer.create 16384 in
+  List.iteri
+    (fun i add ->
+      if i > 0 then Buffer.add_char buf '\x00';
+      add buf)
+    parts;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let str s buf = Buffer.add_string buf s
+
+let graph g buf = Dnn_serial.Codec.to_buffer buf g
 
 let digest ?(extra = []) ~config ~options g =
   hash
-    (Dnn_serial.Codec.to_string ~pretty:false g
-    :: config_fingerprint config :: options_fingerprint options :: extra)
+    (graph g
+    :: str (config_fingerprint config)
+    :: str (options_fingerprint options)
+    :: List.map str extra)
 
 let request_digest ?(extra = []) ~dtype ~device ~options g =
   hash
-    (Dnn_serial.Codec.to_string ~pretty:false g
-    :: Tensor.Dtype.to_string dtype
-    :: device.Fpga.Device.device_name
-    :: options_fingerprint options :: extra)
+    (graph g
+    :: str (Tensor.Dtype.to_string dtype)
+    :: str device.Fpga.Device.device_name
+    :: str (options_fingerprint options)
+    :: List.map str extra)
 
 let run_digest ?(extra = []) ~dtype ~device ~options tenants =
   hash
-    (Tensor.Dtype.to_string dtype
-     :: device.Fpga.Device.device_name
-     :: options_fingerprint options
-     :: extra
-    @ List.concat_map
-        (fun (g, tag) -> [ tag; Dnn_serial.Codec.to_string ~pretty:false g ])
-        tenants)
+    (str (Tensor.Dtype.to_string dtype)
+     :: str device.Fpga.Device.device_name
+     :: str (options_fingerprint options)
+     :: List.map str extra
+    @ List.concat_map (fun (g, tag) -> [ str tag; graph g ]) tenants)

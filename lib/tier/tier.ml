@@ -163,12 +163,9 @@ let chaos t = with_lock t (fun () -> t.chaos)
 
 let lru_find t digest = with_lock t (fun () -> Lru.find t.lru digest)
 
-let lru_store t digest payload =
-  with_lock t (fun () ->
-      ignore
-        (Lru.add t.lru ~key:digest
-           ~bytes:(String.length (Json.to_string payload))
-           payload))
+(* [bytes] is the length of the payload's compact rendering. *)
+let lru_store t digest (payload, bytes) =
+  with_lock t (fun () -> ignore (Lru.add t.lru ~key:digest ~bytes payload))
 
 (* --- response rendering --- *)
 
@@ -328,7 +325,7 @@ let shard_call t ctx s line =
    retried like a transport failure — a corrupted reply must never
    reach the client as a success. *)
 type reply =
-  | RValid of Json.t
+  | RValid of (Json.t * int)  (* the payload and its rendered length *)
   | RApp of string  (* structured application error: pass through *)
   | RShed of string  (* the shard's in-flight gate said no *)
   | RRetry of string  (* transport failure or invalid reply *)
@@ -357,12 +354,12 @@ let validate_reply t s ~digest line =
         | None -> invalid "missing result"
         | Some payload -> (
           match Json.member_opt "sum" doc with
-          | Some (Json.String sum)
-            when sum = Dnn_serial.Codec.digest_string (Json.to_string payload)
-            ->
-            RValid payload
-          | Some _ -> invalid "sum does not match the payload"
-          | None -> invalid "missing sum"))
+          | None -> invalid "missing sum"
+          | Some sum ->
+            let rendered = Json.to_string payload in
+            if sum = Json.String (Dnn_serial.Codec.digest_string rendered) then
+              RValid (payload, String.length rendered)
+            else invalid "sum does not match the payload"))
       | Some (Json.Bool false) -> (
         match Json.member_opt "error" doc with
         | Some (Json.String msg) ->
@@ -479,7 +476,7 @@ let probe_cache t ctx s digest =
   | Error (Shard.Unavailable _ | Shard.Transport _) -> `Down
   | Ok line -> (
     match validate_reply t s ~digest line with
-    | RValid payload -> `Hit payload
+    | RValid (payload, bytes) -> `Hit (payload, bytes)
     | RApp _ | RShed _ | RRetry _ -> `Miss)
 
 (* Best-effort: seed the owner's cache with a payload found elsewhere so
@@ -540,16 +537,16 @@ let route t (env : P.envelope) digest =
         | name :: rest -> (
           count t (fun c -> c.peer_probes <- c.peer_probes + 1);
           match probe_cache t ctx (shard t name) digest with
-          | `Hit payload -> Some payload
+          | `Hit hit -> Some hit
           (* A busy peer just doesn't help with this fill. *)
           | `Miss | `Down | `Overloaded _ -> probe rest)
       in
       match probe (peers_of owner) with
       | None -> None
-      | Some payload ->
+      | Some ((payload, _) as hit) ->
         count t (fun c -> c.peer_fills <- c.peer_fills + 1);
         backfill t ctx owner digest payload;
-        Some payload
+        Some hit
     in
     let compute owner retry_names =
       count t (fun c -> c.computes <- c.computes + 1);
@@ -594,8 +591,8 @@ let route t (env : P.envelope) digest =
                 let reply = hedged_call t ctx ~digest ~primary:s ~hedge line in
                 record_latency t (Unix.gettimeofday () -. call_t0);
                 match reply with
-                | RValid payload ->
-                  lru_store t digest payload;
+                | RValid ((payload, _) as valid) ->
+                  lru_store t digest valid;
                   render_ok t env ~cache:"miss" ~t0 payload
                 | RApp msg -> render_error t env msg
                 | RShed msg -> render_error t env msg
@@ -615,14 +612,14 @@ let route t (env : P.envelope) digest =
         else
           let owner = shard t owner_name in
           match probe_cache t ctx owner digest with
-          | `Hit payload ->
+          | `Hit ((payload, _) as hit) ->
             count t (fun c -> c.shard_hits <- c.shard_hits + 1);
-            lru_store t digest payload;
+            lru_store t digest hit;
             render_ok t env ~cache:"hit" ~t0 payload
           | `Miss -> (
             match peer_fill owner with
-            | Some payload ->
-              lru_store t digest payload;
+            | Some ((payload, _) as hit) ->
+              lru_store t digest hit;
               render_ok t env ~cache:"peer" ~t0 payload
             | None -> (
               match env.P.request with
@@ -640,7 +637,7 @@ let route t (env : P.envelope) digest =
     in
     match env.P.request with
     | P.Cache_put (_, payload) ->
-      lru_store t digest payload;
+      lru_store t digest (payload, String.length (Json.to_string payload));
       let owner = shard t (Ring.lookup t.ring digest) in
       (match
          shard_call t ctx owner
@@ -648,7 +645,7 @@ let route t (env : P.envelope) digest =
        with
       | Ok line -> (
         match validate_reply t owner ~digest line with
-        | RValid payload -> render_ok t env ~t0 payload
+        | RValid (payload, _) -> render_ok t env ~t0 payload
         | RApp msg | RShed msg | RRetry msg -> render_error t env msg)
       | Error e -> render_error t env (Shard.error_message e))
     | _ -> from_owner owners)

@@ -196,7 +196,63 @@ let test_dse_work () =
   Alcotest.(check int) "compute terms: rows x 5 rungs x 2 clocks" (32 * 5 * 2)
     w.Accel.Dse.compute_terms;
   Alcotest.(check int) "configs scored: 180 points x 2 styles" 360
-    w.Accel.Dse.configs_scored
+    w.Accel.Dse.configs_scored;
+  (* Scoring exits early once a point's partial sum passes the best. *)
+  Alcotest.(check int) "score adds" 37710 w.Accel.Dse.score_adds;
+  Alcotest.(check bool) "score adds < nodes x configs scored" true
+    (w.Accel.Dse.score_adds < w.Accel.Dse.nodes * w.Accel.Dse.configs_scored)
+
+(* An add whose output fuses into the very next add, so its single
+   streamed input carries the whole tile-load overhead and its write-back
+   disappears: no zoo model has this shape. *)
+let fused_adds () =
+  let module B = Dnn_graph.Builder in
+  let b = B.create () in
+  let x = B.input b ~name:"in" ~channels:16 ~height:28 ~width:28 () in
+  let y = B.conv b ~name:"y" ~kernel:(1, 1) ~out_channels:32 x in
+  let p = B.conv b ~name:"p" ~kernel:(3, 3) ~out_channels:32 x in
+  let q = B.conv b ~name:"q" ~kernel:(3, 3) ~out_channels:32 x in
+  let s1 = B.add b ~name:"s1" [ p; q ] in
+  let _s2 = B.add b ~name:"s2" [ s1; y ] in
+  B.finish b
+
+let test_row_transfer_bits () =
+  (* The row-level Eq. 1 factors against the node profile, bit for bit,
+     on every zoo node, precision and candidate tile, fusion off and on
+     (the dse-exhaustive oracle covers fusion off only). *)
+  let checks = ref 0 in
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun dtype ->
+          let table = Latency.layer_table dtype g in
+          List.iter
+            (fun tile ->
+              List.iter
+                (fun fused_eltwise ->
+                  let cfg = Config.make ~tile ~fused_eltwise ~style:Config.Umm dtype in
+                  for id = 0 to Dnn_graph.Graph.node_count g - 1 do
+                    let r = Latency.node_row table id in
+                    let rows =
+                      max (Latency.row_compute cfg table r)
+                        (Latency.row_transfer cfg table r)
+                    in
+                    let node =
+                      Latency.node_latency (Latency.profile_node cfg g id)
+                        ~if_on_chip:(fun _ -> false) ~wt_on_chip:false ~of_on_chip:false
+                    in
+                    incr checks;
+                    if Int64.bits_of_float rows <> Int64.bits_of_float node then
+                      Alcotest.failf "%s %s %a fused=%b node %d: rows %h, profile %h" name
+                        (Dtype.to_string dtype) Tiling.pp tile fused_eltwise id rows node
+                  done)
+                [ false; true ])
+            (Accel.Dse.candidate_tiles ()))
+        [ Dtype.I8; Dtype.I16; Dtype.F32 ])
+    (("fused adds", fused_adds ())
+    :: List.map (fun e -> (e.Models.Zoo.model_name, e.Models.Zoo.build ())) Models.Zoo.all);
+  (* (1,151 zoo nodes + 6) x 3 dtypes x 36 tiles x 2 fusion settings. *)
+  Alcotest.(check int) "checks" (248616 + 1296) !checks
 
 let test_fused_eltwise () =
   let g = Helpers.diamond () in
@@ -250,5 +306,6 @@ let suite =
     Alcotest.test_case "dse" `Quick test_dse;
     Alcotest.test_case "dse exhaustive zoo" `Quick test_dse_exhaustive_zoo;
     Alcotest.test_case "dse work counters" `Quick test_dse_work;
+    Alcotest.test_case "row transfer bit-equal to profiles" `Quick test_row_transfer_bits;
     Alcotest.test_case "fused eltwise" `Quick test_fused_eltwise;
     prop_umm_upper_bound ]

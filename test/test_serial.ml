@@ -262,6 +262,56 @@ let test_codec_digest () =
   Alcotest.(check bool) "distinct graphs, distinct digests" true
     (d1 <> Codec.digest (Helpers.diamond ()))
 
+(* --- rendering: pinned bytes --- *)
+
+let test_json_render_ints () =
+  let check i =
+    Alcotest.(check string) (string_of_int i) (string_of_int i)
+      (Json.to_string (Json.Int i))
+  in
+  List.iter check [ 0; 1; -1; 9; -9; 10; -10; max_int; min_int ];
+  (* Magnitudes of every digit count, both signs. *)
+  let st = Random.State.make [| 16 |] in
+  for _ = 1 to 2000 do
+    check (Int64.to_int (Random.State.bits64 st) asr Random.State.int st 63)
+  done
+
+let test_json_render_strings () =
+  let check name want s =
+    Alcotest.(check string) name want (Json.to_string (Json.String s))
+  in
+  check "plain" "\"conv1_relu\"" "conv1_relu";
+  check "empty" "\"\"" "";
+  check "quote" "\"a\\\"b\"" "a\"b";
+  check "backslash" "\"a\\\\b\"" "a\\b";
+  check "newline, return, tab" "\"\\n\\r\\t\"" "\n\r\t";
+  check "other control bytes" "\"\\u0000\\u0001\\u0008\\u000c\\u001f\""
+    "\x00\x01\x08\x0c\x1f";
+  check "del and non-ASCII pass through" "\"\x7f\xc3\xa9\xff\"" "\x7f\xc3\xa9\xff";
+  check "escapes between runs" "\"ab\\\"cd\\\\ef\\ngh\"" "ab\"cd\\ef\ngh";
+  Alcotest.(check string) "escaped key, compact" "{\"k\\\"\":[1,-2]}"
+    (Json.to_string (Json.Obj [ ("k\"", Json.List [ Json.Int 1; Json.Int (-2) ]) ]));
+  Alcotest.(check string) "escaped key, pretty" "{\n  \"k\\\"\": [\n    1,\n    -2\n  ]\n}"
+    (Json.to_string ~indent:2
+       (Json.Obj [ ("k\"", Json.List [ Json.Int 1; Json.Int (-2) ]) ]))
+
+let test_codec_zoo_digests () =
+  (* Every zoo graph's canonical rendering, pinned through its digest: a
+     rendering change shows here before it moves a cache key. *)
+  let all =
+    String.concat ""
+      (List.map (fun e -> Codec.digest (e.Models.Zoo.build ())) Models.Zoo.all)
+  in
+  Alcotest.(check int) "zoo graphs" 13 (List.length Models.Zoo.all);
+  Alcotest.(check string) "md5 of the zoo digests" "96d2dfad6477cd55d00a51a8f325f338"
+    (Codec.digest_string all);
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf "prefix";
+  Codec.to_buffer buf (Helpers.diamond ());
+  Alcotest.(check string) "to_buffer appends the compact form"
+    ("prefix" ^ Codec.to_string ~pretty:false (Helpers.diamond ()))
+    (Buffer.contents buf)
+
 let prop_random_graph_roundtrip =
   Helpers.qtest ~count:40 "random graphs round-trip" Helpers.random_graph_gen
     (fun g ->
@@ -284,6 +334,9 @@ let suite =
     Alcotest.test_case "wire read_reply EOF and truncation" `Quick
       test_wire_read_reply_eof;
     Alcotest.test_case "codec digest" `Quick test_codec_digest;
+    Alcotest.test_case "json render ints" `Quick test_json_render_ints;
+    Alcotest.test_case "json render strings" `Quick test_json_render_strings;
+    Alcotest.test_case "codec zoo digests pinned" `Quick test_codec_zoo_digests;
     Alcotest.test_case "graph round-trip fixtures" `Quick test_graph_roundtrip_fixtures;
     Alcotest.test_case "graph round-trip zoo" `Quick test_graph_roundtrip_zoo;
     Alcotest.test_case "codec rejects garbage" `Quick test_codec_rejects_garbage;

@@ -100,6 +100,31 @@ let test_cache_key_stability () =
     (Svc.Cache_key.digest ~config:cfg ~options:o g1
     <> Svc.Cache_key.digest ~config:cfg' ~options:o g1)
 
+let test_cache_key_pins () =
+  (* The keys themselves, pinned: the served cache, the tier ring and
+     every persisted disk entry are addressed by these bytes. *)
+  let o = F.default_options in
+  let zoo = List.map (fun e -> e.Models.Zoo.build ()) Models.Zoo.all in
+  let request =
+    List.concat_map
+      (fun g ->
+        List.map
+          (fun dtype ->
+            Svc.Cache_key.request_digest ~extra:[ "compile" ] ~dtype
+              ~device:Fpga.Device.vu9p ~options:o g)
+          [ Tensor.Dtype.I8; Tensor.Dtype.I16; Tensor.Dtype.F32 ])
+      zoo
+  in
+  Alcotest.(check string) "request digests" "284780edcf0f810d86a8811f1e2198f0"
+    (Dnn_serial.Codec.digest_string (String.concat "" request));
+  let cfg = Accel.Config.make ~style:Accel.Config.Lcmm Tensor.Dtype.I16 in
+  Alcotest.(check string) "config digest" "6b163b02deb762eb9372bfadc21d4821"
+    (Svc.Cache_key.digest ~extra:[ "x" ] ~config:cfg ~options:o (List.hd zoo));
+  Alcotest.(check string) "run digest" "f81529e44b8b594d507500ea2b894429"
+    (Svc.Cache_key.run_digest ~extra:[ "run"; "fair" ] ~dtype:Tensor.Dtype.I16
+       ~device:Fpga.Device.vu9p ~options:o
+       (List.mapi (fun i g -> (g, string_of_int i)) zoo))
+
 (* --- Pool --- *)
 
 let test_pool_map () =
@@ -988,6 +1013,7 @@ let suite =
     Alcotest.test_case "cache byte bound" `Quick test_cache_byte_bound;
     Alcotest.test_case "cache persistence" `Quick test_cache_persistence;
     Alcotest.test_case "cache key stability" `Quick test_cache_key_stability;
+    Alcotest.test_case "cache keys pinned" `Quick test_cache_key_pins;
     Alcotest.test_case "pool parallel map" `Quick test_pool_map;
     Alcotest.test_case "pool exceptions" `Quick test_pool_exceptions;
     Alcotest.test_case "pool shutdown" `Quick test_pool_shutdown_rejects;
